@@ -170,9 +170,7 @@ struct MemTrace
  * Lane counts are per unit (multiply by the unit count for node
  * totals) and partition each layer's cycles: busy + idle =
  * cycles x lanes wherever the producer models lanes. Encoder fields
- * are populated for CNV encoded layers; the brick-buffer occupancy
- * fields only by the structural dispatcher pipeline (the fast
- * models assume perfect prefetch and do not sample the BB).
+ * are populated for CNV encoded layers.
  */
 struct MicroTrace
 {
@@ -186,10 +184,6 @@ struct MicroTrace
     std::uint64_t encoderBusyCycles = 0;
     /** ZFNAf output bricks produced by the encoder. */
     std::uint64_t encoderBricks = 0;
-    /** Dispatcher brick-buffer entries occupied, summed per cycle. */
-    std::uint64_t bbOccupancySum = 0;
-    /** Cycles over which the brick buffer was sampled. */
-    std::uint64_t bbSampleCycles = 0;
 
     /** Fraction of lane-cycles doing work (1.0 when lock-step). */
     double
@@ -201,15 +195,6 @@ struct MicroTrace
                      : 0.0;
     }
 
-    /** Mean brick-buffer occupancy over the sampled cycles. */
-    double
-    meanBbOccupancy() const
-    {
-        return bbSampleCycles ? static_cast<double>(bbOccupancySum) /
-                                    static_cast<double>(bbSampleCycles)
-                              : 0.0;
-    }
-
     MicroTrace &
     operator+=(const MicroTrace &o)
     {
@@ -218,8 +203,6 @@ struct MicroTrace
         stalls += o.stalls;
         encoderBusyCycles += o.encoderBusyCycles;
         encoderBricks += o.encoderBricks;
-        bbOccupancySum += o.bbOccupancySum;
-        bbSampleCycles += o.bbSampleCycles;
         return *this;
     }
 };

@@ -62,19 +62,21 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "arch/registry.h"
-#include "core/node.h"
-#include "dadiannao/node.h"
 #include "driver/driver.h"
 #include "driver/run_manifest.h"
 #include "driver/stats_report.h"
 #include "driver/trace_pipeline.h"
 #include "mem/memory_model.h"
 #include "nn/trace.h"
+#include "ref/cnv_node.h"
+#include "ref/dadiannao_node.h"
 #include "tensor/serialize.h"
 #include "zfnaf/format.h"
 #include "nn/zoo/zoo.h"
@@ -136,24 +138,49 @@ usage()
 }
 
 /**
- * Strict --jobs parsing: a plain positive integer, nothing else.
- * Mirrors the bench runner's numeric validation (exit 2 with a
- * diagnostic) rather than std::stoi's exception path.
+ * Strict numeric option parsing: the whole value must be one number
+ * of type T in [lo, hi] — no trailing junk, no sign wrap-around, no
+ * empty string. Mirrors the bench runner's numeric validation (exit
+ * 2 with a diagnostic) rather than std::stoi's exception path.
  */
-int
-parseJobs(const std::string &value)
+template <typename T>
+T
+parseNumber(const std::string &flag, const std::string &value, T lo,
+            T hi = std::numeric_limits<T>::max())
 {
-    int jobs = 0;
+    T parsed{};
     const char *begin = value.data();
     const char *end = begin + value.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, jobs);
-    if (ec != std::errc() || ptr != end || jobs < 1) {
-        std::cerr << "cnvsim: invalid value '" << value
-                  << "' for --jobs (expected an integer >= 1)\n";
+    const auto [ptr, ec] = std::from_chars(begin, end, parsed);
+    // Written as !(in range) so a parsed NaN is rejected too.
+    if (ec != std::errc() || ptr != end || !(parsed >= lo && parsed <= hi)) {
+        std::cerr << "cnvsim: invalid value '" << value << "' for "
+                  << flag << " (expected ";
+        if constexpr (std::is_integral_v<T>)
+            std::cerr << "an integer";
+        else
+            std::cerr << "a number";
+        if (hi == std::numeric_limits<T>::max())
+            std::cerr << " >= " << lo << ")\n";
+        else
+            std::cerr << " in [" << lo << ", " << hi << "])\n";
         // NOLINTNEXTLINE(concurrency-mt-unsafe)
         std::exit(2);
     }
-    return jobs;
+    return parsed;
+}
+
+/** Output-path options must name a file: an empty value exits 2. */
+const std::string &
+parsePath(const std::string &flag, const std::string &value)
+{
+    if (value.empty()) {
+        std::cerr << "cnvsim: invalid value '' for " << flag
+                  << " (expected an output path)\n";
+        // NOLINTNEXTLINE(concurrency-mt-unsafe)
+        std::exit(2);
+    }
+    return value;
 }
 
 /**
@@ -192,6 +219,7 @@ parseOptions(const std::vector<std::string> &rawArgs, std::size_t start)
 
     CliOptions opts;
     for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string flag = args[i];
         auto next = [&]() -> const std::string & {
             if (i + 1 >= args.size())
                 usage();
@@ -200,40 +228,33 @@ parseOptions(const std::vector<std::string> &rawArgs, std::size_t start)
         if (args[i] == "--arch")
             opts.archs = next();
         else if (args[i] == "--images")
-            opts.images = std::stoi(next());
+            opts.images = parseNumber(flag, next(), 1);
         else if (args[i] == "--seed")
-            opts.seed = std::stoull(next());
+            opts.seed = parseNumber(flag, next(), std::uint64_t{0});
         else if (args[i] == "--scale")
-            opts.scale = std::stoi(next());
+            opts.scale = parseNumber(flag, next(), 1);
         else if (args[i] == "--floor")
-            opts.floor = std::stod(next());
+            opts.floor = parseNumber(flag, next(), 0.0, 1.0);
         else if (args[i] == "--out")
-            opts.out = next();
+            opts.out = parsePath(flag, next());
         else if (args[i] == "--report-json")
-            opts.reportJson = next();
+            opts.reportJson = parsePath(flag, next());
         else if (args[i] == "--report-csv")
-            opts.reportCsv = next();
+            opts.reportCsv = parsePath(flag, next());
         else if (args[i] == "--net")
             opts.net = next();
         else if (args[i] == "--trace-out")
-            opts.traceOut = next();
+            opts.traceOut = parsePath(flag, next());
         else if (args[i] == "--stall-csv")
-            opts.stallCsv = next();
+            opts.stallCsv = parsePath(flag, next());
         else if (args[i] == "--max-events")
-            opts.maxEvents = std::stoull(next());
+            opts.maxEvents = parseNumber(flag, next(), std::size_t{1});
         else if (args[i] == "--jobs")
-            opts.jobs = parseJobs(next());
+            opts.jobs = parseNumber(flag, next(), 1);
         else if (args[i] == "--mem")
             opts.memKind = parseMem(next());
-        else if (args[i] == "--perf-json") {
-            opts.perfJson = next();
-            if (opts.perfJson.empty()) {
-                std::cerr << "cnvsim: invalid value '' for --perf-json "
-                             "(expected an output path)\n";
-                // NOLINTNEXTLINE(concurrency-mt-unsafe)
-                std::exit(2);
-            }
-        }
+        else if (args[i] == "--perf-json")
+            opts.perfJson = parsePath(flag, next());
         else if (args[i] == "--progress") {
             const std::string &value = next();
             if (value == "on")
@@ -250,17 +271,8 @@ parseOptions(const std::vector<std::string> &rawArgs, std::size_t start)
                 std::exit(2);
             }
         }
-        else if (args[i] == "--weight-sparsity") {
-            const std::string &value = next();
-            opts.weightSparsity = std::stod(value);
-            if (opts.weightSparsity < 0.0 || opts.weightSparsity > 1.0) {
-                std::cerr << "cnvsim: invalid value '" << value
-                          << "' for --weight-sparsity (expected a "
-                             "fraction in [0, 1])\n";
-                // NOLINTNEXTLINE(concurrency-mt-unsafe)
-                std::exit(2);
-            }
-        }
+        else if (args[i] == "--weight-sparsity")
+            opts.weightSparsity = parseNumber(flag, next(), 0.0, 1.0);
         else if (args[i] == "--stats")
             opts.stats = true;
         else if (args[i] == "--layers")
@@ -791,8 +803,8 @@ cmdValidate(nn::zoo::NetId id, const CliOptions &opts)
                                            opts.seed + 1);
 
     const dadiannao::NodeConfig node;
-    dadiannao::NodeModel baseline{node};
-    core::CnvNodeModel cnv{node};
+    ref::BaselineNodeModel baseline{node};
+    ref::CnvNodeModel cnv{node};
     const auto b = baseline.run(*net, image);
     const auto c = cnv.run(*net, image);
     const auto golden = net->forward(image);

@@ -43,8 +43,9 @@ enum class StallReason {
     /** Whole node idle on the off-chip synapse stream (exposed
      *  synapse-load time not hidden by compute overlap). */
     SynapseWait,
-    /** Lane's slice ran dry inside the structural pipeline while
-     *  other lanes were still draining theirs. */
+    /** Lane's slice ran dry while other lanes were still draining
+     *  theirs. No current model separates this from WindowBarrier,
+     *  so it reports zero. */
     SliceDrained,
     /** Independent slice fetch pointers landed on the same NM bank
      *  and serialised (`--mem banked`, mem::BankedNm). */

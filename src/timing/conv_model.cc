@@ -63,7 +63,7 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
     const std::uint64_t units = cfg.units;
 
     // Shallow inputs pack fetch blocks across window rows (see
-    // dadiannao/nfu.cc); blocks per window row depend only on ox.
+    // ref/dadiannao_nfu.cc); blocks per window row depend only on ox.
     const bool packedRows = depthPerGroup < lanes && p.groups == 1;
     std::uint64_t packedRowBlocks = 0;
     if (packedRows) {

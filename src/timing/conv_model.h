@@ -6,7 +6,8 @@
  * These consume only layer geometry plus a per-brick non-zero count
  * map of the layer's input, and produce exactly the same cycle
  * counts, activity events, and energy counters as the cycle-level
- * models in dadiannao/nfu.* and core/unit.* (property tests enforce
+ * reference models in ref/dadiannao_nfu.* and ref/cnv_unit.*
+ * (tests/arch/test_cross_validation.cc and the property tests enforce
  * bit-exact agreement on randomized layers). They exist so that
  * full-network experiments and pruning sweeps run in seconds
  * instead of hours; every experiment can be spot-checked against

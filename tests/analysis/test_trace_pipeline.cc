@@ -3,14 +3,17 @@
  * Network-level trace/stall pipeline: buildStallProfile's totals
  * must equal the run's idle lane-cycles on both architectures (the
  * attribution invariant the whole stalls feature rests on), the
- * appendNetworkTrace events must fold back to the same numbers, and
- * the stall breakdown must surface in the cnv-report-v1 document.
+ * appendNetworkTrace events must fold back to the same numbers on
+ * well-formed, non-overlapping tracks, and the stall breakdown must
+ * surface in the cnv-report-v1 document.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "driver/stats_report.h"
 #include "driver/trace_pipeline.h"
@@ -100,15 +103,31 @@ TEST(TracePipeline, NetworkTraceFoldsBackToTheProfile)
     // (the invariant would also hold trivially at zero).
     EXPECT_GT(cnvFold.totalIdle(), 0u);
 
-    // The document is valid trace JSON with one process per arch,
-    // layer spans on tid 0 and stall spans keyed by layer.
+    // The document is valid trace JSON in the cycle clock domain,
+    // with one process per arch, layer spans on tid 0 and stall
+    // spans keyed by layer. Every span is non-empty, and the spans
+    // of each (pid, tid) track are time-ordered without overlap.
     std::ostringstream os;
     sink.writeJson(os);
     Json doc = Parser(os.str()).parse();
+    EXPECT_EQ(doc.at("metadata").at("clockDomain").text, "cycles");
+    std::map<std::pair<double, double>, double> trackEnd;
     bool sawLayerSpan = false, sawKeyedStall = false;
     for (const Json &e : doc.at("traceEvents").array) {
         if (e.at("ph").text != "X")
             continue;
+        const std::pair<double, double> track{e.at("pid").number,
+                                              e.at("tid").number};
+        const double ts = e.at("ts").number;
+        const double dur = e.at("dur").number;
+        EXPECT_GT(dur, 0.0);
+        const auto [end, fresh] = trackEnd.emplace(track, 0.0);
+        if (!fresh) {
+            EXPECT_GE(ts, end->second)
+                << "overlap on pid " << track.first << " tid "
+                << track.second;
+        }
+        end->second = ts + dur;
         if (e.at("cat").text == "layer" && e.at("tid").number == 0.0)
             sawLayerSpan = true;
         if (e.at("cat").text == "stall")

@@ -1,16 +1,18 @@
 /**
  * @file
  * Unit tests for the DaDianNao baseline model: configuration
- * invariants from Section IV-A, hand-computable cycle counts, and
- * activity accounting.
+ * invariants from Section IV-A, hand-computable cycle counts,
+ * sparsity-independent timing, and activity accounting.
  */
 
 #include <gtest/gtest.h>
 
-#include "dadiannao/nfu.h"
-#include "dadiannao/node.h"
 #include "nn/zoo/zoo.h"
+#include "ref/dadiannao_nfu.h"
+#include "ref/dadiannao_node.h"
 #include "sim/rng.h"
+#include "timing/conv_model.h"
+#include "zfnaf/format.h"
 
 namespace {
 
@@ -58,8 +60,8 @@ TEST(BaselineConv, HandComputedCycleCount)
     tensor::FilterBank w(16, 3, 3, 32);
     std::vector<Fixed16> bias(16);
 
-    const auto r = dadiannao::simulateConvBaseline(cfg, p, in, w, bias,
-                                                   false);
+    const auto r =
+        ref::simulateConvBaseline(cfg, p, in, w, bias, false);
     EXPECT_EQ(r.timing.cycles, 72u);
     // All neurons non-zero: every lane event is non-zero work.
     EXPECT_EQ(r.timing.activity.zero, 0u);
@@ -83,8 +85,8 @@ TEST(BaselineConv, MultiplePassesForManyFilters)
     tensor::FilterBank w(257, 1, 1, 16);
     std::vector<Fixed16> bias(257);
 
-    const auto r = dadiannao::simulateConvBaseline(cfg, p, in, w, bias,
-                                                   false);
+    const auto r =
+        ref::simulateConvBaseline(cfg, p, in, w, bias, false);
     EXPECT_EQ(r.timing.cycles, 2u * 2u * 2u); // windows * passes
 }
 
@@ -105,7 +107,7 @@ TEST(BaselineConv, Conv1CategoryAbsorbsAllEvents)
     std::vector<Fixed16> bias(16);
 
     const auto r =
-        dadiannao::simulateConvBaseline(cfg, p, in, w, bias, true);
+        ref::simulateConvBaseline(cfg, p, in, w, bias, true);
     EXPECT_EQ(r.timing.activity.zero, 0u);
     EXPECT_EQ(r.timing.activity.nonZero, 0u);
     EXPECT_EQ(r.timing.activity.conv1, r.timing.activity.total());
@@ -136,10 +138,46 @@ TEST(BaselineConv, ZeroEventsMatchInputZeroCount)
     tensor::FilterBank w(16, 1, 1, 32);
     std::vector<Fixed16> bias(16);
 
-    const auto r = dadiannao::simulateConvBaseline(cfg, p, in, w, bias,
-                                                   false);
+    const auto r =
+        ref::simulateConvBaseline(cfg, p, in, w, bias, false);
     EXPECT_EQ(r.timing.activity.zero,
               static_cast<std::uint64_t>(zeros) * cfg.units);
+}
+
+TEST(BaselineConv, CyclesAreSparsityIndependent)
+{
+    // The lock-step baseline multiplies zeros like any other value,
+    // so a 90%-zero input takes exactly as long as a dense one, in
+    // the batch reference and in closed form alike.
+    const NodeConfig cfg;
+    nn::ConvParams p;
+    p.filters = 16;
+    p.fx = p.fy = 3;
+    p.stride = 1;
+    p.pad = 0;
+    const tensor::FilterBank w(16, 3, 3, 32);
+    const std::vector<Fixed16> bias(16);
+
+    std::uint64_t dense = 0;
+    for (double zf : {0.0, 0.9}) {
+        sim::Rng rng(7);
+        NeuronTensor in(6, 6, 32);
+        for (Fixed16 &v : in)
+            v = rng.bernoulli(zf)
+                ? Fixed16{}
+                : Fixed16::fromRaw(static_cast<std::int16_t>(
+                      rng.uniformInt(std::int64_t{1}, std::int64_t{250})));
+        const auto batch =
+            ref::simulateConvBaseline(cfg, p, in, w, bias, false);
+        const auto counts = zfnaf::nonZeroCountMap(in, cfg.brickSize);
+        const auto closed =
+            timing::convBaseline(cfg, p, in.shape(), counts, false);
+        if (!dense)
+            dense = batch.timing.cycles;
+        EXPECT_EQ(batch.timing.cycles, dense) << zf;
+        EXPECT_EQ(closed.cycles, dense) << zf;
+        EXPECT_EQ(batch.timing.activity.zero > 0, zf > 0.0) << zf;
+    }
 }
 
 TEST(BaselineNode, RunsSmallNetworkEndToEnd)
@@ -152,7 +190,7 @@ TEST(BaselineNode, RunsSmallNetworkEndToEnd)
     for (Fixed16 &v : input)
         v = Fixed16::fromDouble(std::abs(rng.normal(0.5, 0.25)));
 
-    dadiannao::NodeModel node{NodeConfig{}};
+    ref::BaselineNodeModel node{NodeConfig{}};
     const auto run = node.run(*net, input);
 
     EXPECT_GT(run.timing.totalCycles(), 0u);

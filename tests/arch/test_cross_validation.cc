@@ -10,14 +10,15 @@
  *     counter) with the cycle-level models, so fast experiments are
  *     as trustworthy as slow ones.
  *  3. Work invariants — CNV performs exactly the non-zero work of
- *     the baseline, never more.
+ *     the baseline, never more, and its serial encoder examines
+ *     each output neuron exactly once.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/unit.h"
-#include "dadiannao/nfu.h"
 #include "nn/ops.h"
+#include "ref/cnv_unit.h"
+#include "ref/dadiannao_nfu.h"
 #include "sim/rng.h"
 #include "timing/conv_model.h"
 #include "zfnaf/format.h"
@@ -104,13 +105,13 @@ TEST_P(ConvCrossValidation, AllModelsAgree)
     const NeuronTensor golden = nn::conv2d(in, w, bias, p);
 
     // Cycle-level baseline: functional + timing.
-    const auto base = dadiannao::simulateConvBaseline(
+    const auto base = ref::simulateConvBaseline(
         cfg, p, in, w, bias, false);
     EXPECT_EQ(base.output, golden) << c;
 
     // Cycle-level CNV on the encoded input: bit-identical output.
     const zfnaf::EncodedArray enc = zfnaf::encode(in, cfg.brickSize);
-    const auto cnvRes = core::simulateConvCnv(cfg, p, enc, w, bias);
+    const auto cnvRes = ref::simulateConvCnv(cfg, p, enc, w, bias);
     EXPECT_EQ(cnvRes.output, golden) << c;
 
     // Closed-form models agree exactly with the cycle-level models.
@@ -151,6 +152,10 @@ TEST_P(ConvCrossValidation, AllModelsAgree)
     EXPECT_EQ(cnvRes.timing.activity.total(),
               cnvRes.timing.cycles * static_cast<std::uint64_t>(
                                          cfg.lanes * cfg.units)) << c;
+    // The serial encoder (Section IV-B4) examines each output neuron
+    // exactly once, in the reference and in closed form alike.
+    EXPECT_EQ(cnvRes.timing.micro.encoderBusyCycles, golden.size()) << c;
+    EXPECT_EQ(aCnv.micro.encoderBusyCycles, golden.size()) << c;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,7 +10,7 @@ crash, a zero exit, or a silent stdout message.
 Cases:
   * unknown network        -> exit 1, "fatal:" + the bad name on stderr
   * unknown flag           -> exit 2, usage text on stderr
-  * malformed flag value   -> exit 1, diagnostic on stderr
+  * malformed flag value   -> exit 2, diagnostic on stderr
   * unknown --arch id      -> exit 1, "fatal:" + known ids on stderr
   * missing --net (trace)  -> exit 2, usage text on stderr
   * unwritable report path -> exit 1, "fatal:" + the path on stderr
@@ -19,6 +19,11 @@ Cases:
   * bad --progress value   -> exit 2, diagnostic on stderr
   * empty --perf-json path -> exit 2, diagnostic on stderr
   * bad --mem value        -> exit 2, diagnostic on stderr
+  * trailing junk (--images 2x), zero/negative --images, negative
+    --seed, zero --scale/--max-events, --floor outside [0, 1] or NaN
+                           -> exit 2, diagnostic on stderr
+  * empty --report-json/--report-csv/--trace-out/--stall-csv/--out
+    path                   -> exit 2, diagnostic on stderr
 
 With ``--bench BENCH`` a bench binary's shared argument parser
 (bench/common.h) is smoked too:
@@ -79,7 +84,7 @@ def main(argv: list[str]) -> int:
            2, ["usage:"])
     expect("malformed flag value",
            run(cnvsim, "run", "alex", "--images", "notanumber"),
-           1, ["error"])
+           2, ["invalid value", "--images"])
     expect("unknown --arch id",
            run(cnvsim, "run", "nin", "--images", "1",
                "--arch", "dadiannao,eyeriss"),
@@ -109,7 +114,28 @@ def main(argv: list[str]) -> int:
            run(cnvsim, "run", "nin", "--images", "1", "--mem", "bogus"),
            2, ["invalid value", "--mem"])
 
-    cases = 11
+    # Strict numbers: the whole value must parse, in range, with no
+    # sign wrap-around (a negative seed used to become 2^64 - 1).
+    bad_numbers = [("--images", "2x"), ("--images", "0"),
+                   ("--images", "-3"), ("--seed", "-1"),
+                   ("--scale", "0"), ("--max-events", "0"),
+                   ("--floor", "1.5"), ("--floor", "-0.1"),
+                   ("--floor", "nan")]
+    for flag, value in bad_numbers:
+        expect(f"bad {flag} {value}",
+               run(cnvsim, "run", "nin", f"{flag}={value}"),
+               2, ["invalid value", flag, value])
+    # Empty output paths used to exit 0 and silently write nothing.
+    for command, flag in [("run", "--report-json"),
+                          ("run", "--report-csv"),
+                          ("trace", "--trace-out"),
+                          ("trace", "--stall-csv"),
+                          ("export-traces", "--out")]:
+        expect(f"empty {flag} path",
+               run(cnvsim, command, "nin", f"{flag}="),
+               2, ["invalid value", flag])
+
+    cases = 11 + len(bad_numbers) + 5
     if bench is not None:
         expect("bench non-numeric --images",
                run(bench, "--images", "notanumber"),
