@@ -426,20 +426,8 @@ cmdRun(nn::zoo::NetId id, const CliOptions &opts)
     std::vector<driver::ArchTimeline> timelines;
     if (opts.layers || opts.stats) {
         const sim::ScopedPhase phase("timing");
-        timelines.resize(archs.size());
-        sim::parallelMapReduce(
-            archs.size(),
-            [&](std::size_t a) {
-                timing::RunOptions ropts;
-                ropts.imageSeed = cfg.seed;
-                ropts.cache = &cache;
-                ropts.weightSparsity = cfg.weightSparsity;
-                ropts.memKind = cfg.memKind;
-                return archs[a]->simulateNetwork(cfg.node, *net, ropts);
-            },
-            [&](std::size_t a, dadiannao::NetworkResult &&result) {
-                timelines[a] = {archs[a], std::move(result)};
-            });
+        timelines =
+            driver::simulateTimelines(cfg, *net, archs, nullptr, cache);
     }
 
     if (opts.layers) {
@@ -658,20 +646,8 @@ cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
 
     const auto archs = selectedArchs(opts);
     timing::TraceCache cache;
-    std::vector<driver::ArchTimeline> timelines(archs.size());
-    sim::parallelMapReduce(
-        archs.size(),
-        [&](std::size_t a) {
-            timing::RunOptions ropts;
-            ropts.imageSeed = cfg.seed;
-            ropts.cache = &cache;
-            ropts.weightSparsity = cfg.weightSparsity;
-            ropts.memKind = cfg.memKind;
-            return archs[a]->simulateNetwork(cfg.node, *net, ropts);
-        },
-        [&](std::size_t a, dadiannao::NetworkResult &&result) {
-            timelines[a] = {archs[a], std::move(result)};
-        });
+    const std::vector<driver::ArchTimeline> timelines =
+        driver::simulateTimelines(cfg, *net, archs, nullptr, cache);
 
     sim::TraceSink sink(opts.maxEvents);
     int pid = 1;

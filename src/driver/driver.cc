@@ -57,10 +57,18 @@ evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
     timing::TraceCache localCache;
     timing::TraceCache *shared = cache != nullptr ? cache : &localCache;
 
+    // Every run walks the layers in the same order, so without the
+    // warm-up the grid's lanes would queue on one layer's synthesis
+    // at a time; warming fans the (layer x image) tensors out first.
+    const auto images = static_cast<std::size_t>(cfg.images);
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < images; ++i)
+        seeds.push_back(cfg.seed + static_cast<std::uint64_t>(i));
+    sim::metrics().beginProgress(net.name(), archs.size() * images);
+    shared->warm(net, seeds, nullptr);
+
     // Flattened (arch x image) grid; the ordered commit makes the
     // per-arch accumulation order identical to the old serial loop.
-    const auto images = static_cast<std::size_t>(cfg.images);
-    sim::metrics().beginProgress(net.name(), archs.size() * images);
     sim::parallelMapReduce(
         archs.size() * images,
         [&](std::size_t g) {

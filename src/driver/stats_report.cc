@@ -217,6 +217,30 @@ buildStats(const dadiannao::NetworkResult &result,
     return root;
 }
 
+std::vector<ArchTimeline>
+simulateTimelines(const ExperimentConfig &cfg, const nn::Network &net,
+                  const std::vector<const arch::ArchModel *> &archs,
+                  const nn::PruneConfig *prune, timing::TraceCache &cache)
+{
+    cache.warm(net, {cfg.seed}, nullptr);
+    std::vector<ArchTimeline> timelines(archs.size());
+    sim::parallelMapReduce(
+        archs.size(),
+        [&](std::size_t a) {
+            timing::RunOptions opts;
+            opts.imageSeed = cfg.seed;
+            opts.prune = prune;
+            opts.cache = &cache;
+            opts.weightSparsity = cfg.weightSparsity;
+            opts.memKind = cfg.memKind;
+            return archs[a]->simulateNetwork(cfg.node, net, opts);
+        },
+        [&](std::size_t a, dadiannao::NetworkResult &&result) {
+            timelines[a] = {archs[a], std::move(result)};
+        });
+    return timelines;
+}
+
 RunReport
 buildRunReport(const ExperimentConfig &cfg, const nn::Network &net,
                const std::vector<const arch::ArchModel *> &archs,
@@ -235,21 +259,7 @@ buildRunReport(const ExperimentConfig &cfg, const nn::Network &net,
     // The timelines and the aggregate share one cache, so the
     // report's counters reflect the whole run's reuse.
     timing::TraceCache cache;
-    report.timelines.resize(archs.size());
-    sim::parallelMapReduce(
-        archs.size(),
-        [&](std::size_t a) {
-            timing::RunOptions opts;
-            opts.imageSeed = cfg.seed;
-            opts.prune = prune;
-            opts.cache = &cache;
-            opts.weightSparsity = cfg.weightSparsity;
-            opts.memKind = cfg.memKind;
-            return archs[a]->simulateNetwork(cfg.node, net, opts);
-        },
-        [&](std::size_t a, dadiannao::NetworkResult &&result) {
-            report.timelines[a] = {archs[a], std::move(result)};
-        });
+    report.timelines = simulateTimelines(cfg, net, archs, prune, cache);
     report.aggregate = evaluateNetworkArchs(cfg, net, archs, prune, &cache);
     report.cacheStats = cache.stats();
     return report;

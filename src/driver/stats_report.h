@@ -51,6 +51,18 @@ struct ArchTimeline
 };
 
 /**
+ * Simulate one image (seed = cfg.seed) of `net` on every selected
+ * architecture, in parallel, and return the per-layer timelines in
+ * selection order. The image's tensors are warmed in `cache` first,
+ * so the runs share one synthesis fanned out layer by layer; pass
+ * the same cache to a following evaluateNetworkArchs() to reuse it.
+ */
+std::vector<ArchTimeline>
+simulateTimelines(const ExperimentConfig &cfg, const nn::Network &net,
+                  const std::vector<const arch::ArchModel *> &archs,
+                  const nn::PruneConfig *prune, timing::TraceCache &cache);
+
+/**
  * One experiment's complete machine-readable record: provenance,
  * the per-layer timelines of every selected architecture (measured
  * on the manifest's root seed), and the multi-image aggregate

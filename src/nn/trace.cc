@@ -47,52 +47,67 @@ class SpatialField
     std::vector<double> values_;
 };
 
-/** Draw a non-zero post-ReLU magnitude in raw units. */
-Fixed16
-drawValue(const SparsityModel &m, sim::Rng &rng)
+/**
+ * Synthesise the depth range [zBase, zBase + depth) of `out` with the
+ * model's statistics, zeroing magnitudes below `threshold` (0: none).
+ *
+ * Only the per-pixel spatial factor and the per-channel rate are
+ * kept, not an 8-byte probability per element: each activity
+ * probability spatial * rate * scale * active is formed where it is
+ * used, always in that left-to-right order, so the doubles (and the
+ * RNG draws they gate) are the same at every use. The build never
+ * contracts these products into FMAs (CMakeLists.txt), which keeps
+ * them identical across hosts too.
+ */
+void
+synthesizeInto(NeuronTensor &out, int zBase, int depth,
+               const SparsityModel &model, sim::Rng &rng,
+               std::int32_t threshold)
 {
-    const double mu = std::log(m.valueScaleRaw) - 0.5 * m.valueSigma * m.valueSigma;
-    double raw = std::exp(rng.normal(mu, m.valueSigma));
-    raw = std::clamp(raw, 1.0, 32767.0);
-    return Fixed16::fromRaw(static_cast<std::int16_t>(std::lround(raw)));
-}
+    const Shape3 shape = out.shape();
+    const std::size_t pixels = static_cast<std::size_t>(shape.x) * shape.y;
+    const std::size_t stride = static_cast<std::size_t>(shape.z);
+    Fixed16 *const base = out.data() + zBase;
+    // A non-zero post-ReLU magnitude in raw units, then the prune.
+    const double mu = std::log(model.valueScaleRaw) -
+                      0.5 * model.valueSigma * model.valueSigma;
+    auto draw = [&] {
+        const double raw = std::clamp(
+            std::exp(rng.normal(mu, model.valueSigma)), 1.0, 32767.0);
+        const Fixed16 v =
+            Fixed16::fromRaw(static_cast<std::int16_t>(std::lround(raw)));
+        return threshold > 0 && v.rawAbs() < threshold ? Fixed16{} : v;
+    };
 
-} // namespace
-
-NeuronTensor
-synthesizeActivations(Shape3 shape, const SparsityModel &model, sim::Rng &rng)
-{
-    NeuronTensor out(shape);
     const double active = 1.0 - std::clamp(model.zeroFraction, 0.0, 1.0);
     if (active <= 0.0) {
-        out.fill(Fixed16{});
-        return out;
+        for (std::size_t p = 0; p < pixels; ++p)
+            std::fill_n(base + p * stride, depth, Fixed16{});
+        return;
     }
     if (active >= 1.0) {
-        for (Fixed16 &v : out)
-            v = drawValue(model, rng);
-        return out;
+        for (std::size_t p = 0; p < pixels; ++p)
+            for (int z = 0; z < depth; ++z)
+                base[p * stride + z] = draw();
+        return;
     }
 
     // Per-channel firing-rate multipliers and a coarse spatial field.
-    std::vector<double> channelRate(shape.z);
+    std::vector<double> channelRate(depth);
     for (double &r : channelRate)
         r = std::exp(rng.normal(0.0, model.channelDispersion));
     const int grid = std::max(2, model.spatialGrid);
-    SpatialField field(grid, model.spatialDispersion, rng);
+    const SpatialField field(grid, model.spatialDispersion, rng);
 
-    // Unnormalised activity probabilities.
-    std::vector<double> prob(shape.volume());
-    std::size_t idx = 0;
+    std::vector<double> spatial(pixels);
     for (int y = 0; y < shape.y; ++y) {
         const double v = shape.y > 1
             ? static_cast<double>(y) / (shape.y - 1) : 0.5;
         for (int x = 0; x < shape.x; ++x) {
             const double u = shape.x > 1
                 ? static_cast<double>(x) / (shape.x - 1) : 0.5;
-            const double spatial = field.at(u, v);
-            for (int z = 0; z < shape.z; ++z)
-                prob[idx++] = spatial * channelRate[z];
+            spatial[static_cast<std::size_t>(y) * shape.x + x] =
+                field.at(u, v);
         }
     }
 
@@ -101,19 +116,32 @@ synthesizeActivations(Shape3 shape, const SparsityModel &model, sim::Rng &rng)
     double scale = 1.0;
     for (int iter = 0; iter < 4; ++iter) {
         double mean = 0.0;
-        for (double p : prob)
-            mean += std::min(1.0, p * scale * active);
-        mean /= static_cast<double>(prob.size());
+        for (const double s : spatial)
+            for (const double rate : channelRate)
+                mean += std::min(1.0, s * rate * scale * active);
+        mean /= static_cast<double>(pixels * channelRate.size());
         if (mean <= 0.0)
             break;
         scale *= active / mean;
     }
 
-    idx = 0;
-    for (Fixed16 &v : out) {
-        const double p = std::min(1.0, prob[idx++] * scale * active);
-        v = rng.bernoulli(p) ? drawValue(model, rng) : Fixed16{};
+    for (std::size_t p = 0; p < pixels; ++p) {
+        Fixed16 *const column = base + p * stride;
+        for (int z = 0; z < depth; ++z) {
+            const double prob =
+                std::min(1.0, spatial[p] * channelRate[z] * scale * active);
+            column[z] = rng.bernoulli(prob) ? draw() : Fixed16{};
+        }
     }
+}
+
+} // namespace
+
+NeuronTensor
+synthesizeActivations(Shape3 shape, const SparsityModel &model, sim::Rng &rng)
+{
+    NeuronTensor out(shape);
+    synthesizeInto(out, 0, shape.z, model, rng, 0);
     return out;
 }
 
@@ -265,18 +293,7 @@ synthesizeConvInput(const Network &net, int convNodeId,
             }
         }
 
-        NeuronTensor segTensor = synthesizeActivations(
-            {shape.x, shape.y, seg.depth}, model, rng);
-        for (int y = 0; y < shape.y; ++y) {
-            for (int x = 0; x < shape.x; ++x) {
-                for (int z = 0; z < seg.depth; ++z) {
-                    Fixed16 v = segTensor.at(x, y, z);
-                    if (threshold > 0 && v.rawAbs() < threshold)
-                        v = Fixed16{};
-                    out.at(x, y, zBase + z) = v;
-                }
-            }
-        }
+        synthesizeInto(out, zBase, seg.depth, model, rng, threshold);
         zBase += seg.depth;
     }
     return out;

@@ -363,6 +363,10 @@ speedup(const NodeConfig &cfg, const nn::Network &net, int images,
     // One cache for the batch: baseline and CNV share each image's
     // synthesized tensor instead of generating it twice.
     TraceCache cache;
+    std::vector<std::uint64_t> seeds;
+    for (int i = 0; i < images; ++i)
+        seeds.push_back(seedBase + static_cast<std::uint64_t>(i));
+    cache.warm(net, seeds, nullptr);
     std::uint64_t base = 0, cnvCycles = 0;
     sim::parallelMapReduce(
         static_cast<std::size_t>(images),

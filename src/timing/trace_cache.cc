@@ -1,10 +1,12 @@
 #include "timing/trace_cache.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "nn/trace.h"
 #include "sim/logging.h"
 #include "sim/metrics.h"
+#include "sim/parallel.h"
 #include "zfnaf/format.h"
 
 namespace cnv::timing {
@@ -34,34 +36,29 @@ pruneKey(const nn::PruneConfig *prune)
 
 } // namespace
 
-std::shared_ptr<const tensor::NeuronTensor>
-TraceCache::convInput(const nn::Network &net, int convNodeId,
-                      std::uint64_t imageSeed, const TraceProvider *traces)
+std::shared_ptr<TraceCache::TensorSlot>
+TraceCache::tensorSlot(const nn::Network &net, int convNodeId,
+                       std::uint64_t imageSeed)
 {
-    std::shared_ptr<Slot<tensor::NeuronTensor>> slot;
-    {
-        const core::MutexLock lock(mutex_);
-        auto &entry = tensors_[tensorKey(net, convNodeId, imageSeed)];
-        if (!entry)
-            entry = std::make_shared<Slot<tensor::NeuronTensor>>();
-        slot = entry;
-    }
-    const core::MutexLock lock(slot->m);
-    if (slot->value) {
-        tensorHits_.fetch_add(1, std::memory_order_relaxed);
-        sim::metrics().add("traceCache.tensorHits");
-        return slot->value;
-    }
-    tensorMisses_.fetch_add(1, std::memory_order_relaxed);
-    sim::metrics().add("traceCache.tensorMisses");
-    // The miss path is the synthesis (or trace-load) cost every
-    // other lookup of this key amortizes; its latency distribution
-    // feeds hostProfile.traceCache.synthesis.
+    const core::MutexLock lock(mutex_);
+    auto &entry = tensors_[tensorKey(net, convNodeId, imageSeed)];
+    if (!entry)
+        entry = std::make_shared<TensorSlot>();
+    return entry;
+}
+
+void
+TraceCache::fill(TensorSlot &slot, const nn::Network &net, int convNodeId,
+                 std::uint64_t imageSeed, const TraceProvider *traces)
+{
+    // The synthesis (or trace-load) cost every lookup of this key
+    // amortizes; its latency distribution feeds
+    // hostProfile.traceCache.synthesis.
     const std::uint64_t t0 = sim::metrics().nowIfEnabled();
     std::optional<tensor::NeuronTensor> external;
     if (traces)
         external = traces->convInput(net, convNodeId, imageSeed);
-    slot->value = std::make_shared<const tensor::NeuronTensor>(
+    slot.value = std::make_shared<const tensor::NeuronTensor>(
         external ? std::move(*external)
                  : nn::synthesizeConvInput(net, convNodeId, imageSeed,
                                            nullptr));
@@ -69,7 +66,54 @@ TraceCache::convInput(const nn::Network &net, int convNodeId,
         sim::metrics().recordNanos(
             "traceCache.synthesis",
             sim::MetricsRegistry::nowNanos() - t0);
+}
+
+std::shared_ptr<const tensor::NeuronTensor>
+TraceCache::convInput(const nn::Network &net, int convNodeId,
+                      std::uint64_t imageSeed, const TraceProvider *traces)
+{
+    const std::shared_ptr<TensorSlot> slot =
+        tensorSlot(net, convNodeId, imageSeed);
+    const core::MutexLock lock(slot->m);
+    if (slot->counted) {
+        tensorHits_.fetch_add(1, std::memory_order_relaxed);
+        sim::metrics().add("traceCache.tensorHits");
+        return slot->value;
+    }
+    tensorMisses_.fetch_add(1, std::memory_order_relaxed);
+    sim::metrics().add("traceCache.tensorMisses");
+    if (!slot->value)
+        fill(*slot, net, convNodeId, imageSeed, traces);
+    slot->counted = true;
     return slot->value;
+}
+
+void
+TraceCache::warm(const nn::Network &net,
+                 const std::vector<std::uint64_t> &imageSeeds,
+                 const TraceProvider *traces)
+{
+    struct Job
+    {
+        int node;
+        std::uint64_t seed;
+    };
+    std::vector<Job> jobs;
+    for (int id : net.convNodeIds())
+        for (std::uint64_t seed : imageSeeds)
+            jobs.push_back({id, seed});
+    std::stable_sort(jobs.begin(), jobs.end(),
+                     [&](const Job &a, const Job &b) {
+                         return net.node(a.node).inShape.volume() >
+                                net.node(b.node).inShape.volume();
+                     });
+    sim::parallelFor(jobs.size(), [&](std::size_t i) {
+        const std::shared_ptr<TensorSlot> slot =
+            tensorSlot(net, jobs[i].node, jobs[i].seed);
+        const core::MutexLock lock(slot->m);
+        if (!slot->value)
+            fill(*slot, net, jobs[i].node, jobs[i].seed, traces);
+    });
 }
 
 std::shared_ptr<const CountMap>

@@ -18,6 +18,11 @@
  * and miss totals are therefore deterministic: misses == distinct
  * keys ever requested, independent of the job count.
  *
+ * warm() fills tensor slots ahead of the lookups, fanned out over the
+ * pool, without touching the counters: each tensor slot remembers
+ * whether a lookup has counted it yet, so the first counted lookup
+ * of a key is still its miss whether or not the key was warmed.
+ *
  * One cache assumes one TraceProvider (or none) for its lifetime;
  * callers pass the provider per lookup only so the cache does not
  * own it.
@@ -31,6 +36,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/sync.h"
 #include "nn/network.h"
@@ -48,6 +54,8 @@ class TraceCache
         std::uint64_t tensorMisses = 0;
         std::uint64_t countMapHits = 0;
         std::uint64_t countMapMisses = 0;
+
+        friend bool operator==(const Stats &, const Stats &) = default;
     };
 
     TraceCache() = default;
@@ -74,6 +82,17 @@ class TraceCache
              std::uint64_t imageSeed, const TraceProvider *traces,
              const nn::PruneConfig *prune, int brickSize);
 
+    /**
+     * Compute every (conv node x image) input tensor of `net` that is
+     * not cached yet, over sim::parallelFor, largest input volume
+     * first so the longest syntheses start at once and the small
+     * layers pack around them. Counts no hit or miss; a second call
+     * with the same arguments is a no-op.
+     */
+    void warm(const nn::Network &net,
+              const std::vector<std::uint64_t> &imageSeeds,
+              const TraceProvider *traces);
+
     Stats stats() const;
 
   private:
@@ -84,11 +103,26 @@ class TraceCache
         core::Mutex m;
         std::shared_ptr<const T> value CNV_GUARDED_BY(m);
     };
+    struct TensorSlot : Slot<tensor::NeuronTensor>
+    {
+        /** Set by the first lookup that counted this key (a miss);
+         *  warm() fills `value` without setting it. */
+        bool counted CNV_GUARDED_BY(m) = false;
+    };
+
+    /** The (possibly empty) slot of a tensor key, created on demand. */
+    std::shared_ptr<TensorSlot> tensorSlot(const nn::Network &net,
+                                           int convNodeId,
+                                           std::uint64_t imageSeed);
+
+    /** Load or synthesize a tensor into its empty slot. */
+    static void fill(TensorSlot &slot, const nn::Network &net,
+                     int convNodeId, std::uint64_t imageSeed,
+                     const TraceProvider *traces) CNV_REQUIRES(slot.m);
 
     /** Guards the two key -> slot maps (not slot contents). */
     core::Mutex mutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<Slot<tensor::NeuronTensor>>>
+    std::unordered_map<std::string, std::shared_ptr<TensorSlot>>
         tensors_ CNV_GUARDED_BY(mutex_);
     std::unordered_map<std::string, std::shared_ptr<Slot<CountMap>>>
         counts_ CNV_GUARDED_BY(mutex_);

@@ -3,13 +3,17 @@
  * Tests for timing::TraceCache: cached tensors and count maps are
  * bit-identical to the inline synthesis path (with and without
  * pruning), hit/miss counters are exact, concurrent lookups of one
- * key compute it once, and simulateNetwork produces identical
- * results with and without a cache.
+ * key compute it once, warming is invisible to the counters, and
+ * simulateNetwork produces identical results with and without a
+ * cache.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
@@ -22,6 +26,21 @@ namespace {
 
 using namespace cnv;
 using dadiannao::NodeConfig;
+
+/** Synthesizes like the cache would, counting every computation. */
+class CountingProvider : public timing::TraceProvider
+{
+  public:
+    std::optional<tensor::NeuronTensor>
+    convInput(const nn::Network &net, int convNodeId,
+              std::uint64_t imageSeed) const override
+    {
+        calls.fetch_add(1);
+        return nn::synthesizeConvInput(net, convNodeId, imageSeed);
+    }
+
+    mutable std::atomic<int> calls{0};
+};
 
 TEST(TraceCache, TensorMatchesInlineSynthesis)
 {
@@ -95,6 +114,93 @@ TEST(TraceCache, ConcurrentLookupsComputeOnce)
     EXPECT_EQ(s.countMapMisses, 1u);
     EXPECT_EQ(s.countMapHits, 15u);
     EXPECT_EQ(s.tensorMisses, 1u);
+}
+
+TEST(TraceCache, WarmingLeavesStatsAndTensorsUnchanged)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    nn::PruneConfig prune;
+    prune.thresholds.assign(
+        static_cast<std::size_t>(net->convLayerCount()), 16);
+    const std::vector<std::uint64_t> seeds{3, 4};
+
+    // The same lookup sequence on a warmed and an unwarmed cache,
+    // with a key (seed 5) the warm did not cover.
+    auto lookups = [&](timing::TraceCache &cache) {
+        std::vector<std::shared_ptr<const tensor::NeuronTensor>> tensors;
+        for (std::uint64_t seed : {3, 4, 5, 3}) {
+            for (int nodeId : net->convNodeIds()) {
+                cache.countMap(*net, nodeId, seed, nullptr, nullptr, 16);
+                cache.countMap(*net, nodeId, seed, nullptr, &prune, 16);
+                tensors.push_back(
+                    cache.convInput(*net, nodeId, seed, nullptr));
+            }
+        }
+        return tensors;
+    };
+
+    timing::TraceCache warmed;
+    warmed.warm(*net, seeds, nullptr);
+    EXPECT_EQ(warmed.stats(), timing::TraceCache::Stats{});
+    timing::TraceCache cold;
+    const auto a = lookups(warmed);
+    const auto b = lookups(cold);
+
+    EXPECT_EQ(warmed.stats(), cold.stats());
+    EXPECT_EQ(warmed.stats().tensorMisses,
+              3u * static_cast<std::size_t>(net->convLayerCount()));
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(*a[i], *b[i]);
+}
+
+TEST(TraceCache, SecondWarmIsANoOp)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    const CountingProvider provider;
+    timing::TraceCache cache;
+    cache.warm(*net, {7}, &provider);
+    EXPECT_EQ(provider.calls.load(), net->convLayerCount());
+    cache.warm(*net, {7}, &provider);
+    EXPECT_EQ(provider.calls.load(), net->convLayerCount());
+    EXPECT_EQ(cache.stats(), timing::TraceCache::Stats{});
+
+    // Counted lookups of warmed keys compute nothing either.
+    for (int nodeId : net->convNodeIds())
+        cache.countMap(*net, nodeId, 7, &provider, nullptr, 16);
+    EXPECT_EQ(provider.calls.load(), net->convLayerCount());
+}
+
+TEST(TraceCache, WarmRacingLookupsComputesEachKeyOnce)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    const std::vector<std::uint64_t> seeds{1, 2};
+    const CountingProvider provider;
+    timing::TraceCache cache;
+
+    const int previousJobs = sim::jobCount();
+    sim::setJobCount(4);
+    // Task 0 warms (itself fanning out on the same pool) while the
+    // other tasks look every key up through count maps.
+    const std::vector<int> &nodes = net->convNodeIds();
+    const std::size_t keys = nodes.size() * seeds.size();
+    sim::parallelFor(1 + 2 * keys, [&](std::size_t i) {
+        if (i == 0) {
+            cache.warm(*net, seeds, &provider);
+            return;
+        }
+        const std::size_t k = (i - 1) % keys;
+        cache.countMap(*net, nodes[k % nodes.size()],
+                       seeds[k / nodes.size()], &provider, nullptr, 16);
+    });
+    sim::setJobCount(previousJobs);
+
+    EXPECT_EQ(provider.calls.load(), static_cast<int>(keys));
+    const auto s = cache.stats();
+    EXPECT_EQ(s.tensorMisses, keys);
+    EXPECT_EQ(s.tensorHits, 0u);
+    EXPECT_EQ(s.countMapMisses, keys);
+    EXPECT_EQ(s.countMapHits, keys);
 }
 
 TEST(TraceCache, SimulateNetworkIdenticalWithAndWithoutCache)

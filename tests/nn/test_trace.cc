@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
 #include "sim/rng.h"
@@ -149,6 +152,63 @@ TEST(Traces, PruneThresholdIncreasesZeroFraction)
                 else
                     EXPECT_EQ(a, b);
             }
+}
+
+/** FNV-1a (64-bit) over the little-endian raw values of a tensor. */
+std::uint64_t
+digest(const NeuronTensor &t)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const Fixed16 v : t) {
+        const auto raw = static_cast<unsigned>(static_cast<std::uint16_t>(v.raw()));
+        for (const unsigned byte : {raw & 0xffu, raw >> 8u}) {
+            h ^= byte;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+int
+convNamed(const nn::Network &net, const std::string &name)
+{
+    for (int id : net.convNodeIds())
+        if (net.node(id).name == name)
+            return id;
+    ADD_FAILURE() << "no conv named " << name;
+    return net.convNodeIds().front();
+}
+
+// Synthesized traces feed every pinned cycle count, so their exact
+// bits are pinned here: a change to the RNG draw order, the value
+// model, the spatial/channel layout or the prune rule shows up as a
+// digest mismatch, not as a drifted golden number downstream.
+TEST(Traces, SynthesizedConvInputDigestsArePinned)
+{
+    const auto vgg = nn::zoo::build(nn::zoo::NetId::Vgg19, 2016);
+    // The raw-image input (dense segment) and the largest input in
+    // the zoo (224x224x64, one conv-fed segment).
+    EXPECT_EQ(digest(nn::synthesizeConvInput(
+                  *vgg, convNamed(*vgg, "conv1_1"), 2016)),
+              0xeaee276b3ad4a6b1ULL);
+    EXPECT_EQ(digest(nn::synthesizeConvInput(
+                  *vgg, convNamed(*vgg, "conv1_2"), 2016)),
+              0x1ec35b8bfdc26074ULL);
+
+    // An inception input: four producer segments through a concat.
+    const auto google = nn::zoo::build(nn::zoo::NetId::Google, 2016);
+    const int inception = convNamed(*google, "inception_3b/1x1");
+    ASSERT_EQ(nn::inputSegments(*google, inception).size(), 4u);
+    EXPECT_EQ(digest(nn::synthesizeConvInput(*google, inception, 2017)),
+              0x867ee001fcd58e0fULL);
+
+    // The same input with a different threshold per producer.
+    nn::PruneConfig prune;
+    for (int i = 0; i < google->convLayerCount(); ++i)
+        prune.thresholds.push_back(8 + 4 * (i % 8));
+    EXPECT_EQ(digest(nn::synthesizeConvInput(*google, inception, 2017,
+                                             &prune)),
+              0x389caf38d7ad2db2ULL);
 }
 
 TEST(Traces, ZeroOperandFractionStableAcrossImages)

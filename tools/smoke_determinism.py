@@ -11,12 +11,14 @@ documented in docs/architecture.md ("Threading model and
 determinism"): every result, stat tree, and cache counter must be
 invariant under the worker-pool size.
 
-Two experiments run: the wide five-architecture sweep under the
-default ideal memory model, and a ``--mem banked`` run over
+Three experiments run: the wide five-architecture sweep on nin under
+the default ideal memory model; a ``--mem banked`` nin run over
 dadiannao/cnv/cnv2 — the banked hierarchy's conflict, buffer and
 DRAM counters must be just as job-count-invariant as the cycle
 counts (one `mem::MemoryModel` per (arch, image) task, never shared
-across workers).
+across workers); and a one-image vgg19 run over dadiannao/cnv/cnv2,
+where the (arch x image) grid is only three tasks and nearly all the
+parallelism is the cache warm's fan-out across conv layers.
 
 The JSON writer emits one key per line, so dropping the brace-
 balanced ``hostProfile`` block and then filtering whole lines
@@ -72,13 +74,13 @@ def report_lines(path: pathlib.Path) -> list[str]:
 
 
 def compare_pair(cnvsim: str, outdir: pathlib.Path, label: str,
-                 extra_args: list[str]) -> int:
+                 net: str, images: int, extra_args: list[str]) -> int:
     """Run the experiment at --jobs 1 and 4; 0 when identical."""
     reports = {}
     for jobs in (1, 4):
         path = outdir / f"report-{label}-jobs{jobs}.json"
         proc = subprocess.run(
-            [cnvsim, "run", "nin", "--images", "2",
+            [cnvsim, "run", net, "--images", str(images),
              "--seed", "2016", "--jobs", str(jobs),
              *extra_args, "--report-json", str(path)],
             capture_output=True, text=True)
@@ -114,11 +116,14 @@ def main(argv: list[str]) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     failures = compare_pair(
-        cnvsim, outdir, "ideal",
+        cnvsim, outdir, "ideal", "nin", 2,
         ["--arch", "dadiannao,cnv,cnv2,cnv-pruned,cnv-b8"])
     failures += compare_pair(
-        cnvsim, outdir, "banked",
+        cnvsim, outdir, "banked", "nin", 2,
         ["--arch", "dadiannao,cnv,cnv2", "--mem", "banked"])
+    failures += compare_pair(
+        cnvsim, outdir, "vgg19", "vgg19", 1,
+        ["--arch", "dadiannao,cnv,cnv2"])
     return 1 if failures else 0
 
 
