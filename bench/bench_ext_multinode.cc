@@ -20,7 +20,12 @@ main(int argc, char **argv)
 {
     const auto opts = bench::parseArgs(argc, argv, 1);
 
-    for (auto arch : {timing::Arch::Baseline, timing::Arch::Cnv}) {
+    const struct
+    {
+        const char *id;
+        timing::Dataflow df;
+    } archs[] = {{"dadiannao", {}}, {"cnv", {.encoded = true}}};
+    for (const auto &arch : archs) {
         sim::Table t({"network", "2 nodes", "4 nodes", "8 nodes",
                       "16 nodes"});
         for (auto id : nn::zoo::allNetworks()) {
@@ -30,13 +35,14 @@ main(int argc, char **argv)
                 timing::MultiNodeOptions mn;
                 mn.nodes = nodes;
                 row.push_back(sim::Table::num(timing::multiNodeScaling(
-                    dadiannao::NodeConfig{}, mn, *net, arch, opts.seed)));
+                    dadiannao::NodeConfig{}, mn, *net, arch.df,
+                    opts.seed)));
             }
             t.addRow(std::move(row));
         }
         bench::emit(opts,
                     std::string("Extension: scaling over a single node, ") +
-                        timing::archName(arch),
+                        arch.id,
                     t);
     }
 
@@ -51,11 +57,11 @@ main(int argc, char **argv)
             timing::RunOptions ropts;
             ropts.imageSeed = opts.seed;
             const auto base = timing::simulateMultiNode(
-                dadiannao::NodeConfig{}, mn, *net,
-                timing::Arch::Baseline, ropts);
+                dadiannao::NodeConfig{}, mn, *net, archs[0].id,
+                archs[0].df, ropts);
             const auto cnvRun = timing::simulateMultiNode(
-                dadiannao::NodeConfig{}, mn, *net, timing::Arch::Cnv,
-                ropts);
+                dadiannao::NodeConfig{}, mn, *net, archs[1].id,
+                archs[1].df, ropts);
             row.push_back(sim::Table::num(
                 static_cast<double>(base.totalCycles()) /
                 static_cast<double>(cnvRun.totalCycles())));

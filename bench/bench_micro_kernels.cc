@@ -329,7 +329,9 @@ BM_GoogleNetTimingEndToEnd(benchmark::State &state)
         timing::RunOptions opts;
         opts.imageSeed = seed++;
         benchmark::DoNotOptimize(
-            timing::simulateNetwork(cfg, *net, timing::Arch::Cnv, opts));
+            timing::simulateNetwork(cfg, *net,
+                                    timing::Dataflow{.encoded = true},
+                                    opts));
     }
 }
 BENCHMARK(BM_GoogleNetTimingEndToEnd)->Unit(benchmark::kMillisecond);

@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "arch/registry.h"
 #include "nn/zoo/zoo.h"
 #include "sim/table.h"
 #include "timing/network_model.h"
@@ -30,10 +31,10 @@ main(int argc, char **argv)
             dadiannao::NodeConfig cfg;
             cfg.units = units;
             timing::RunOptions opts;
-            const auto base = timing::simulateNetwork(
-                cfg, *net, timing::Arch::Baseline, opts);
-            const auto cnvRun = timing::simulateNetwork(
-                cfg, *net, timing::Arch::Cnv, opts);
+            const auto base = arch::builtin().get("dadiannao")
+                                  .simulateNetwork(cfg, *net, opts);
+            const auto cnvRun = arch::builtin().get("cnv")
+                                    .simulateNetwork(cfg, *net, opts);
             t.addRow({std::to_string(units),
                       std::to_string(cfg.parallelFilters()),
                       sim::Table::num(base.totalCycles() / 1e6),

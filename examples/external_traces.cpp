@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <iostream>
 
+#include "arch/registry.h"
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
 #include "sim/table.h"
@@ -49,10 +50,10 @@ main(int argc, char **argv)
     opts.imageSeed = imageSeed;
     opts.traces = &provider;
 
-    const auto base = timing::simulateNetwork(
-        node, *net, timing::Arch::Baseline, opts);
+    const auto base =
+        arch::builtin().get("dadiannao").simulateNetwork(node, *net, opts);
     const auto cnvRun =
-        timing::simulateNetwork(node, *net, timing::Arch::Cnv, opts);
+        arch::builtin().get("cnv").simulateNetwork(node, *net, opts);
 
     sim::Table t({"architecture", "cycles", "zero lane-events"});
     t.addRow({"dadiannao", sim::Table::intNum(base.totalCycles()),

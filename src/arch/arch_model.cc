@@ -50,44 +50,50 @@ namespace {
 constexpr std::int32_t kDefaultPruneThreshold = 16;
 
 /**
- * The built-in variants share one implementation: a timing/power
- * enum pair plus optional geometry overrides and the cnv-pruned
+ * One built-in architecture as data: its timing dataflow, its power
+ * overheads, an optional geometry override and the cnv-pruned
  * default-threshold behaviour.
  */
+struct BuiltinSpec
+{
+    std::string id;
+    std::string displayName;
+    timing::Dataflow dataflow{};
+    power::Overheads overheads{};
+    /** Geometry override: brick = lanes = NM banks; 0 = inherit. */
+    int brickSize = 0;
+    /** Synthesize default thresholds when a run supplies none. */
+    bool defaultPrune = false;
+};
+
+/** The built-in variants share one implementation over their spec. */
 class BuiltinModel : public ArchModel
 {
   public:
-    BuiltinModel(std::string id, std::string displayName,
-                 timing::Arch timingArch, power::Arch powerArch,
-                 int brickSize = 0, bool defaultPrune = false)
-        : id_(std::move(id)), displayName_(std::move(displayName)),
-          timing_(timingArch), power_(powerArch), brickSize_(brickSize),
-          defaultPrune_(defaultPrune)
-    {
-    }
+    explicit BuiltinModel(BuiltinSpec spec) : spec_(std::move(spec)) {}
 
     const std::string &
     id() const override
     {
-        return id_;
+        return spec_.id;
     }
 
     const std::string &
     displayName() const override
     {
-        return displayName_;
+        return spec_.displayName;
     }
 
     dadiannao::NodeConfig
     nodeConfig(const dadiannao::NodeConfig &base) const override
     {
         dadiannao::NodeConfig cfg = base;
-        if (brickSize_ > 0) {
+        if (spec_.brickSize > 0) {
             // One lane drains one brick slot, and NM banking follows
             // the lane count (bench_abl_brick_size's sweep geometry).
-            cfg.brickSize = brickSize_;
-            cfg.lanes = brickSize_;
-            cfg.nmBanks = brickSize_;
+            cfg.brickSize = spec_.brickSize;
+            cfg.lanes = spec_.brickSize;
+            cfg.nmBanks = spec_.brickSize;
         }
         return cfg;
     }
@@ -96,10 +102,10 @@ class BuiltinModel : public ArchModel
     memGeometry(const dadiannao::NodeConfig &cfg) const override
     {
         mem::Geometry geo = ArchModel::memGeometry(cfg);
-        // Every CNV-family variant fetches through 16 independent
-        // per-slice pointers; only the baseline keeps DaDianNao's
-        // single unit-wide pointer (Section IV-B2).
-        geo.slicedFetch = timing_ != timing::Arch::Baseline;
+        // Encoded dataflows fetch through 16 independent per-slice
+        // pointers; only the baseline keeps DaDianNao's single
+        // unit-wide pointer (Section IV-B2).
+        geo.slicedFetch = spec_.dataflow.encoded;
         return geo;
     }
 
@@ -114,15 +120,15 @@ class BuiltinModel : public ArchModel
         if (run.memKind != mem::Kind::Ideal && run.memGeometry.banks == 0)
             run.memGeometry = memGeometry(cfg);
         nn::PruneConfig defaults;
-        if (defaultPrune_ && run.prune == nullptr) {
+        if (spec_.defaultPrune && run.prune == nullptr) {
             defaults.thresholds.assign(
                 static_cast<std::size_t>(net.convLayerCount()),
                 kDefaultPruneThreshold);
             run.prune = &defaults;
         }
         dadiannao::NetworkResult result =
-            timing::simulateNetwork(cfg, net, timing_, run);
-        result.architecture = id_;
+            timing::simulateNetwork(cfg, net, spec_.dataflow, run);
+        result.architecture = spec_.id;
         return result;
     }
 
@@ -130,46 +136,43 @@ class BuiltinModel : public ArchModel
     convTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
                const timing::CountMap &counts) const override
     {
-        return timing::convLayerTiming(cfg, timing_, node, counts);
+        return timing::convLayerTiming(cfg, spec_.dataflow, node, counts);
     }
 
     dadiannao::LayerResult
     fcTiming(const dadiannao::NodeConfig &cfg, const nn::Network &net,
              int nodeId, dadiannao::OverlapTracker &overlap) const override
     {
-        return timing::fcLayerTiming(cfg, timing_, net, nodeId, overlap);
+        return timing::fcLayerTiming(cfg, spec_.dataflow, net, nodeId,
+                                     overlap);
     }
 
     power::AreaBreakdown
     area(const power::PowerParams &p) const override
     {
-        return power::areaOf(power_, p);
+        return power::areaOf(spec_.overheads, p);
     }
 
     power::PowerBreakdown
     power(const dadiannao::EnergyCounters &counters, std::uint64_t cycles,
           const power::PowerParams &p) const override
     {
-        return power::powerOf(power_, counters, cycles, p);
+        return power::powerOf(spec_.overheads, counters, cycles, p);
     }
 
     power::RunMetrics
     metrics(const dadiannao::EnergyCounters &counters, std::uint64_t cycles,
             const power::PowerParams &p) const override
     {
-        return power::metricsOf(power_, counters, cycles, p);
+        return power::metricsOf(spec_.overheads, counters, cycles, p);
     }
 
   private:
-    std::string id_;
-    std::string displayName_;
-    timing::Arch timing_;
-    power::Arch power_;
-    /** Geometry override: brick = lanes = NM banks; 0 = inherit. */
-    int brickSize_;
-    /** cnv-pruned: synthesize default thresholds when none given. */
-    bool defaultPrune_;
+    BuiltinSpec spec_;
 };
+
+/** CNV's encoded, zero-skipping dataflow. */
+constexpr timing::Dataflow kCnvDataflow{.encoded = true};
 
 } // namespace
 
@@ -177,9 +180,13 @@ std::shared_ptr<const ArchModel>
 makeCnvVariant(std::string id, std::string displayName, int brickSize)
 {
     CNV_ASSERT(brickSize > 0, "CNV variant needs a positive brick size");
-    return std::make_shared<BuiltinModel>(
-        std::move(id), std::move(displayName), timing::Arch::Cnv,
-        power::Arch::Cnv, brickSize);
+    return std::make_shared<BuiltinModel>(BuiltinSpec{
+        .id = std::move(id),
+        .displayName = std::move(displayName),
+        .dataflow = kCnvDataflow,
+        .overheads = power::kCnvOverheads,
+        .brickSize = brickSize,
+    });
 }
 
 const ArchRegistry &
@@ -187,18 +194,24 @@ builtin()
 {
     static const ArchRegistry registry = [] {
         ArchRegistry r;
-        r.add(std::make_shared<BuiltinModel>(
-            "dadiannao", "DaDianNao baseline", timing::Arch::Baseline,
-            power::Arch::Baseline));
-        r.add(std::make_shared<BuiltinModel>(
-            "cnv", "Cnvlutin", timing::Arch::Cnv, power::Arch::Cnv));
-        r.add(std::make_shared<BuiltinModel>(
-            "cnv2", "Cnvlutin2 (weight skipping, offset-only ZFNAf)",
-            timing::Arch::Cnv2, power::Arch::Cnv2));
-        r.add(std::make_shared<BuiltinModel>(
-            "cnv-pruned", "Cnvlutin + dynamic pruning",
-            timing::Arch::Cnv, power::Arch::Cnv, /*brickSize=*/0,
-            /*defaultPrune=*/true));
+        const BuiltinSpec rows[] = {
+            {.id = "dadiannao", .displayName = "DaDianNao baseline"},
+            {.id = "cnv",
+             .displayName = "Cnvlutin",
+             .dataflow = kCnvDataflow,
+             .overheads = power::kCnvOverheads},
+            {.id = "cnv2",
+             .displayName = "Cnvlutin2 (weight skipping, offset-only ZFNAf)",
+             .dataflow = {.encoded = true, .skipsWeights = true},
+             .overheads = power::kCnv2Overheads},
+            {.id = "cnv-pruned",
+             .displayName = "Cnvlutin + dynamic pruning",
+             .dataflow = kCnvDataflow,
+             .overheads = power::kCnvOverheads,
+             .defaultPrune = true},
+        };
+        for (const BuiltinSpec &row : rows)
+            r.add(std::make_shared<BuiltinModel>(row));
         for (int brick : {4, 8, 32})
             r.add(makeCnvVariant(sim::strfmt("cnv-b{}", brick),
                                  sim::strfmt("Cnvlutin ({}-neuron bricks)",

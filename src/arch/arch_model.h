@@ -4,13 +4,13 @@
  * object. A model bundles a stable id (the CLI key and report
  * section name), a display name, the conv/FC/other-layer timing
  * entry points wrapping the closed-form models in src/timing, the
- * calibrated power/area parameter set from src/power, and an
- * optional structural validator hook — so the driver, CLI, benches
- * and reports can loop over N architectures instead of hard-coding
- * the baseline/CNV pair. Variants are looked up through the
- * ArchRegistry (arch/registry.h); the timing::Arch / power::Arch
- * enums stay private to src/timing, src/power and this module
- * (enforced by tools/cnvlint.py's arch-dispatch rule).
+ * calibrated power/area model from src/power, and a node-config
+ * validator hook — so the driver, CLI, benches and reports can loop
+ * over N architectures instead of hard-coding the baseline/CNV
+ * pair. Variants are looked up through the ArchRegistry
+ * (arch/registry.h); each built-in is one row of data there, a
+ * timing::Dataflow plus a power::Overheads block and optional
+ * geometry.
  */
 
 #ifndef CNV_ARCH_ARCH_MODEL_H
@@ -55,10 +55,10 @@ class ArchModel
     nodeConfig(const dadiannao::NodeConfig &base) const;
 
     /**
-     * Structural validator hook: throws sim::FatalError when the
+     * Node-config validator hook: throws sim::FatalError when the
      * (already variant-adjusted) configuration cannot be built for
      * this architecture. The default checks the shared NodeConfig
-     * invariants; models with extra structural constraints override
+     * invariants; models with extra geometry constraints override
      * this to add their own checks.
      */
     virtual void validateNode(const dadiannao::NodeConfig &cfg) const;
@@ -69,7 +69,7 @@ class ArchModel
      * node configuration. The default maps NodeConfig fields
      * directly and fetches through a single unit-wide pointer;
      * variants with per-lane slice pointers (the CNV family)
-     * override the sliced-fetch flag via their timing selection.
+     * override the sliced-fetch flag from their dataflow.
      */
     virtual mem::Geometry
     memGeometry(const dadiannao::NodeConfig &cfg) const;

@@ -1,7 +1,6 @@
 /**
  * @file
- * Area and energy models for the two architectures (Sections V-C
- * and V-D).
+ * Area and energy models (Sections V-C and V-D).
  *
  * The paper measured area and power from synthesized Verilog (TSMC
  * 65nm, Synopsys DC), Artisan register-file compilers, and the
@@ -23,8 +22,50 @@
 
 namespace cnv::power {
 
-/** Architecture variant for area/energy scaling. */
-enum class Arch { Baseline, Cnv, Cnv2 };
+/**
+ * One architecture's area and energy overheads over the baseline
+ * node: the only power-model input that differs between
+ * architectures. All factors are 1.0 for DaDianNao; each
+ * arch::ArchRegistry row carries its own block.
+ */
+struct Overheads
+{
+    double nmArea = 1.0;    ///< NM area (and NM static power)
+    double sramArea = 1.0;  ///< NBin/NBout area (+ offset buffers)
+    double logicArea = 1.0; ///< datapath, dispatcher, encoders
+    double nmAccess = 1.0;  ///< energy per NM access
+    double nbinAccess = 1.0; ///< energy per NBin/NBout entry access
+    /** Extra NM leakage from banking (peripheral duplication). */
+    double nmBankingStatic = 1.0;
+};
+
+/** CNV's overheads (Section V-C areas; Figure 12 fits). */
+inline constexpr Overheads kCnvOverheads{
+    .nmArea = 1.34,    // +25% offsets, 16 banks
+    .sramArea = 1.158, // offset buffer space
+    .logicArea = 1.01, // dispatcher + encoders
+    .nmAccess = 1.35,  // wider (offsets) + banked access
+    .nbinAccess = 1.25, // entry carries a 4-bit offset
+    .nmBankingStatic = 1.05,
+};
+
+/**
+ * Cnvlutin2's overheads: offset-only ZFNAf and weight-skip
+ * sequencing on CNV's datapath (see docs/architectures.md).
+ */
+inline constexpr Overheads kCnv2Overheads{
+    // NM provisioned for offset-only ZFNAf: per-slot 4-bit offsets
+    // with values packed, so less padding capacity than CNV's
+    // (value, offset) slots; banking retained.
+    .nmArea = 1.28,
+    .sramArea = 1.158, // same offset buffers as CNV
+    // The dispatcher also walks the static weight-skip schedule
+    // (per-filter-group brick masks).
+    .logicArea = 1.02,
+    .nmAccess = 1.30, // narrower rows than CNV, still banked
+    .nbinAccess = 1.25,
+    .nmBankingStatic = 1.05,
+};
 
 /** Component areas in mm^2 (65nm node). */
 struct AreaBreakdown
@@ -76,7 +117,10 @@ struct RunMetrics
     double ed2p = 0.0;
 };
 
-/** Calibrated model parameters (defaults reproduce the paper). */
+/**
+ * Calibrated baseline-node parameters (defaults reproduce the
+ * paper); architectures scale them through their Overheads.
+ */
 struct PowerParams
 {
     // --- Areas (mm^2), baseline node ---
@@ -85,31 +129,10 @@ struct PowerParams
     double logicArea = 12.0;
     double sramArea = 5.6;
 
-    // --- CNV area scale factors (Section V-C) ---
-    double nmAreaScaleCnv = 1.34;    ///< +25% offsets, 16 banks
-    double sramAreaScaleCnv = 1.158; ///< offset buffer space
-    double logicAreaScaleCnv = 1.01; ///< dispatcher + encoders
-
-    // --- Cnvlutin2 area scale factors (offset-only ZFNAf +
-    // --- weight-skip sequencing; see docs/architectures.md) ---
-    /** NM provisioned for offset-only ZFNAf: per-slot 4-bit offsets
-     *  with values packed, so less padding capacity than CNV's
-     *  (value, offset) slots; banking retained. */
-    double nmAreaScaleCnv2 = 1.28;
-    double sramAreaScaleCnv2 = 1.158; ///< same offset buffers as CNV
-    /** Dispatcher additionally walks the static weight-skip
-     *  schedule (per-filter-group brick masks). */
-    double logicAreaScaleCnv2 = 1.02;
-
     // --- Dynamic energies (picojoules per event) ---
     double sbReadPj = 48.0;       ///< 16-synapse (256-bit) eDRAM read
     double nmAccessPj = 60.0;     ///< 16-neuron NM read or write
-    double nmAccessScaleCnv = 1.35; ///< wider (offsets) + banked access
-    /** Narrower rows than CNV (offset-only encoding packs values),
-     *  still banked. */
-    double nmAccessScaleCnv2 = 1.30;
     double nbinAccessPj = 1.1;    ///< NBin/NBout entry access
-    double nbinScaleCnv = 1.25;   ///< entry carries a 4-bit offset
     double multPj = 0.5;          ///< 16-bit multiply
     double addPj = 0.25;          ///< adder-tree add
     double encoderPj = 0.35;     ///< encoder neuron examination
@@ -120,27 +143,27 @@ struct PowerParams
     double nmStaticW = 2.40;
     double logicStaticW = 0.25;
     double sramStaticW = 0.30;
-    /** Extra NM leakage from banking (peripheral duplication). */
-    double nmBankingStaticScaleCnv = 1.05;
 
     double clockGhz = 1.0;
 };
 
 /** Component area breakdown for an architecture (Figure 11). */
-AreaBreakdown areaOf(Arch arch, const PowerParams &p = {});
+AreaBreakdown areaOf(const Overheads &o, const PowerParams &p = {});
 
 /**
  * Average power over a run (Figure 12).
  *
- * @param arch Architecture variant.
+ * @param o The architecture's overheads.
  * @param counters Event totals from the simulator.
  * @param cycles Run length in cycles.
  */
-PowerBreakdown powerOf(Arch arch, const dadiannao::EnergyCounters &counters,
+PowerBreakdown powerOf(const Overheads &o,
+                       const dadiannao::EnergyCounters &counters,
                        std::uint64_t cycles, const PowerParams &p = {});
 
 /** Delay, energy, EDP, ED^2P for a run (Figure 13). */
-RunMetrics metricsOf(Arch arch, const dadiannao::EnergyCounters &counters,
+RunMetrics metricsOf(const Overheads &o,
+                     const dadiannao::EnergyCounters &counters,
                      std::uint64_t cycles, const PowerParams &p = {});
 
 } // namespace cnv::power

@@ -144,10 +144,57 @@ convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
     return r;
 }
 
+namespace {
+
+/** splitmix64 finalizer: uncorrelated 64-bit hash of its input. */
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
+
+/** The weight schedule's hash of (conv layer, kernel position). */
+std::uint64_t
+weightCellHash(int convIndex, int ky, int kx)
+{
+    std::uint64_t h = mix64(static_cast<std::uint64_t>(convIndex) + 1);
+    h = mix64(h ^ static_cast<std::uint64_t>(ky));
+    return mix64(h ^ (static_cast<std::uint64_t>(kx) << 20));
+}
+
+/**
+ * Whether the weight brick a filter group applies at one (kernel
+ * position, depth brick, pass) is ineffectual, given the kernel
+ * position's weightCellHash. A pure function of the static schedule
+ * coordinates — the same answer on every call, every thread and
+ * every job count — standing in for the offline weight-pruning
+ * schedule Cnvlutin2 compiles per layer.
+ */
+bool
+weightBrickIneffectual(std::uint64_t cellHash, int brick, int pass,
+                       double sparsity)
+{
+    std::uint64_t h =
+        mix64(cellHash ^ (static_cast<std::uint64_t>(brick) << 40));
+    h = mix64(h ^ static_cast<std::uint64_t>(pass));
+    // Top 53 bits as a uniform deviate in [0, 1).
+    return static_cast<double>(h >> 11) * 0x1.0p-53 < sparsity;
+}
+
+/**
+ * convCnv's body. The no-skip instantiation has no weight test in
+ * its inner loop and builds each window group's lane profile once
+ * for all filter passes; with weight skipping a brick's cost depends
+ * on the pass, so the profile is rebuilt per pass.
+ */
+template <bool kSkipsWeights>
 LayerResult
-convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
-        const Shape3 &inShape, const CountMap &counts,
-        mem::MemoryModel *mem)
+convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
+            const Shape3 &inShape, const CountMap &counts,
+            mem::MemoryModel *mem, int convIndex, double weightSparsity)
 {
     const Shape3 outShape = p.outputShape(inShape);
     const int lanes = cfg.lanes;
@@ -156,9 +203,10 @@ convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
     const int filtersPerGroup = p.filters / p.groups;
     const int parallel = cfg.parallelFilters();
     const std::uint64_t units = cfg.units;
+    const std::uint8_t emptyCost = cfg.emptyBrickCostsCycle ? 1 : 0;
 
     LayerResult r;
-    r.name = "conv(cnv)";
+    r.name = kSkipsWeights ? "conv(cnv2)" : "conv(cnv)";
 
     for (int g = 0; g < p.groups; ++g) {
         if (p.groups > 1 && (g * depthPerGroup) % cfg.brickSize != 0)
@@ -178,14 +226,11 @@ convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
                 const std::size_t c =
                     static_cast<std::size_t>(y) * inShape.x + x;
                 std::uint8_t *bc = brickCost.data() + c * bricksPerCell;
+                const std::uint8_t *col = counts.column(x, y) + brickBase;
                 for (int b = 0; b < bricksPerCell; ++b) {
-                    const std::uint32_t nz = counts.at(x, y, brickBase + b);
-                    if (nz == 0) {
-                        bc[b] = cfg.emptyBrickCostsCycle ? 1 : 0;
-                    } else {
-                        bc[b] = static_cast<std::uint8_t>(nz);
-                        nzCol[c] += nz;
-                    }
+                    const std::uint8_t nz = col[b];
+                    bc[b] = nz == 0 ? emptyCost : nz;
+                    nzCol[c] += nz;
                 }
             }
         }
@@ -207,14 +252,21 @@ convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
         const std::int64_t totalWindows =
             static_cast<std::int64_t>(outShape.x) * outShape.y;
 
-        for (std::int64_t w0 = 0; w0 < totalWindows; w0 += inFlight) {
-            const int batch = static_cast<int>(
-                std::min<std::int64_t>(inFlight, totalWindows - w0));
-
-            laneTime.fill(0);
-            fetches.clear();
-            std::uint64_t nzBatch = 0;
+        // One window group's lane profile for one filter pass: its
+        // non-zero work, cells fetched, slowest lane and summed lane
+        // busy cycles. The pass-0 walk also records the NM fetches,
+        // which every pass repeats, skipped or not.
+        struct LaneProfile
+        {
+            std::uint64_t nz = 0;
             std::uint64_t cells = 0;
+            std::uint64_t groupCycles = 0;
+            std::uint64_t laneSum = 0;
+        };
+        const auto walk = [&](std::int64_t w0, int batch, int pass) {
+            LaneProfile prof;
+            laneTime.fill(0);
+            std::uint64_t skippedNz = 0;
             int windowSeq = 0;
             for (int w = 0; w < batch; ++w) {
                 const int ox = static_cast<int>((w0 + w) % outShape.x);
@@ -229,17 +281,39 @@ convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
                         const int ix = x0 + kx;
                         if (ix < 0 || ix >= inShape.x)
                             continue;
-                        ++cells;
+                        ++prof.cells;
                         const std::size_t c =
                             static_cast<std::size_t>(iy) * inShape.x + ix;
                         const std::uint8_t *bc =
                             brickCost.data() + c * bricksPerCell;
+                        // Only the weight test reads raw counts.
+                        const std::uint8_t *nzCell = kSkipsWeights
+                            ? counts.column(ix, iy) + brickBase
+                            : nullptr;
+                        const std::uint64_t cellHash = kSkipsWeights
+                            ? weightCellHash(convIndex, ky, kx)
+                            : 0;
                         for (int b = 0; b < bricksPerCell; ++b) {
                             const int lane = core::laneOf(
                                 cfg.laneAssignment, ix, iy, brickBase + b,
                                 windowSeq++, lanes);
-                            laneTime[lane] += bc[b];
-                            if (mem)
+                            std::uint64_t cost = bc[b];
+                            if constexpr (kSkipsWeights) {
+                                // A non-empty brick whose weight brick
+                                // the whole filter group prunes: one
+                                // dispatcher slot to step past, no
+                                // serialised multiply-cycles.
+                                const std::uint8_t nz = nzCell[b];
+                                if (nz != 0 &&
+                                    weightBrickIneffectual(
+                                        cellHash, brickBase + b, pass,
+                                        weightSparsity)) {
+                                    cost = emptyCost;
+                                    skippedNz += nz;
+                                }
+                            }
+                            laneTime[lane] += cost;
+                            if (mem && pass == 0)
                                 fetches.push_back(
                                     {lane,
                                      static_cast<std::uint64_t>(c) *
@@ -247,42 +321,54 @@ convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
                                          static_cast<std::uint64_t>(
                                              brickBase + b)});
                         }
-                        nzBatch += nzCol[c];
+                        prof.nz += nzCol[c];
                     }
                 }
             }
-
-            std::uint64_t groupCycles = 0;
-            std::uint64_t laneSum = 0;
+            prof.nz -= skippedNz;
             for (int l = 0; l < lanes; ++l) {
-                groupCycles = std::max(groupCycles, laneTime[l]);
-                laneSum += laneTime[l];
+                prof.groupCycles = std::max(prof.groupCycles, laneTime[l]);
+                prof.laneSum += laneTime[l];
             }
+            return prof;
+        };
 
+        for (std::int64_t w0 = 0; w0 < totalWindows; w0 += inFlight) {
+            const int batch = static_cast<int>(
+                std::min<std::int64_t>(inFlight, totalWindows - w0));
+
+            fetches.clear();
+            LaneProfile prof;
             for (int pass = 0; pass < passes; ++pass) {
+                // Without weight skipping the profile is the same for
+                // every pass; with it, each pass is a different
+                // filter group with its own static weight schedule.
+                if (kSkipsWeights || pass == 0)
+                    prof = walk(w0, batch, pass);
+
                 const int fCount = std::min(
                     parallel, filtersPerGroup - pass * parallel);
                 const int activeUnits =
                     (fCount + cfg.filtersPerUnit - 1) /
                     cfg.filtersPerUnit;
 
-                r.cycles += groupCycles;
-                r.activity.nonZero += nzBatch * units;
+                r.cycles += prof.groupCycles;
+                r.activity.nonZero += prof.nz * units;
                 r.activity.stall +=
-                    (groupCycles * lanes - nzBatch) * units;
+                    (prof.groupCycles * lanes - prof.nz) * units;
                 r.energy.nmReads +=
-                    cells * static_cast<std::uint64_t>(bricksPerCell);
-                r.energy.nbinWrites += nzBatch * units;
-                r.energy.nbinReads += nzBatch * units;
-                r.energy.sbReads += nzBatch * activeUnits;
-                r.energy.multOps += nzBatch * fCount;
-                r.energy.addOps += nzBatch * fCount;
+                    prof.cells * static_cast<std::uint64_t>(bricksPerCell);
+                r.energy.nbinWrites += prof.nz * units;
+                r.energy.nbinReads += prof.nz * units;
+                r.energy.sbReads += prof.nz * activeUnits;
+                r.energy.multOps += prof.nz * fCount;
+                r.energy.addOps += prof.nz * fCount;
                 // Mirror the cycle-level model's per-pass lane
                 // accounting (laneTime includes empty-brick cycles).
-                r.micro.laneBusyCycles += laneSum;
+                r.micro.laneBusyCycles += prof.laneSum;
                 const std::uint64_t barrier =
-                    groupCycles * static_cast<std::uint64_t>(lanes) -
-                    laneSum;
+                    prof.groupCycles * static_cast<std::uint64_t>(lanes) -
+                    prof.laneSum;
                 r.micro.laneIdleCycles += barrier;
                 r.micro.stalls.windowBarrier += barrier;
 
@@ -292,7 +378,7 @@ convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
                     // exposed global-buffer fills stretch the group
                     // with every lane of every unit idle.
                     const mem::GroupCost gc =
-                        mem->fetchGroup(fetches, groupCycles);
+                        mem->fetchGroup(fetches, prof.groupCycles);
                     const std::uint64_t extra =
                         gc.conflictCycles + gc.gbFillCycles;
                     r.cycles += extra;
@@ -316,207 +402,22 @@ convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
         windows * static_cast<std::uint64_t>(
                       (p.filters + cfg.brickSize - 1) / cfg.brickSize);
     return r;
-}
-
-namespace {
-
-/** splitmix64 finalizer: uncorrelated 64-bit hash of its input. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-/**
- * Whether the weight brick a filter group applies at one (kernel
- * position, depth brick, pass) is ineffectual. A pure function of
- * the static schedule coordinates — the same answer on every call,
- * every thread and every job count — standing in for the offline
- * weight-pruning schedule Cnvlutin2 compiles per layer.
- */
-bool
-weightBrickIneffectual(int convIndex, int ky, int kx, int brick, int pass,
-                       double sparsity)
-{
-    if (sparsity <= 0.0)
-        return false;
-    std::uint64_t h = mix64(static_cast<std::uint64_t>(convIndex) + 1);
-    h = mix64(h ^ static_cast<std::uint64_t>(ky));
-    h = mix64(h ^ (static_cast<std::uint64_t>(kx) << 20));
-    h = mix64(h ^ (static_cast<std::uint64_t>(brick) << 40));
-    h = mix64(h ^ static_cast<std::uint64_t>(pass));
-    // Top 53 bits as a uniform deviate in [0, 1).
-    return static_cast<double>(h >> 11) * 0x1.0p-53 < sparsity;
 }
 
 } // namespace
 
 LayerResult
-convCnv2(const NodeConfig &cfg, const nn::ConvParams &p,
-         const Shape3 &inShape, const CountMap &counts, int convIndex,
-         double weightSparsity, mem::MemoryModel *mem)
+convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
+        const Shape3 &inShape, const CountMap &counts,
+        mem::MemoryModel *mem, int convIndex, double weightSparsity)
 {
-    const Shape3 outShape = p.outputShape(inShape);
-    const int lanes = cfg.lanes;
-    CNV_ASSERT(lanes == cfg.brickSize, "CNV needs one lane per brick slot");
     CNV_ASSERT(weightSparsity >= 0.0 && weightSparsity <= 1.0,
                "weight sparsity {} outside [0, 1]", weightSparsity);
-    const int depthPerGroup = inShape.z / p.groups;
-    const int filtersPerGroup = p.filters / p.groups;
-    const int parallel = cfg.parallelFilters();
-    const std::uint64_t units = cfg.units;
-
-    LayerResult r;
-    r.name = "conv(cnv2)";
-
-    for (int g = 0; g < p.groups; ++g) {
-        if (p.groups > 1 && (g * depthPerGroup) % cfg.brickSize != 0)
-            CNV_FATAL("group depth must be brick aligned");
-        const int brickBase = (g * depthPerGroup) / cfg.brickSize;
-        const int bricksPerCell =
-            (depthPerGroup + cfg.brickSize - 1) / cfg.brickSize;
-
-        const int passes = (filtersPerGroup + parallel - 1) / parallel;
-
-        std::array<std::uint64_t, 64> laneTime{};
-        CNV_ASSERT(lanes <= 64, "lane count above model limit");
-
-        const std::uint64_t bricksTotal = static_cast<std::uint64_t>(
-            (inShape.z + cfg.brickSize - 1) / cfg.brickSize);
-        std::vector<mem::Access> fetches;
-
-        // Same window grouping as convCnv, but the lane cost of a
-        // brick depends on the filter pass (each pass is a different
-        // filter group with its own static weight schedule), so the
-        // lane-time profile is rebuilt per pass instead of being
-        // multiplied across passes.
-        const int inFlight = cfg.windowsInFlight();
-        const std::int64_t totalWindows =
-            static_cast<std::int64_t>(outShape.x) * outShape.y;
-
-        for (std::int64_t w0 = 0; w0 < totalWindows; w0 += inFlight) {
-            const int batch = static_cast<int>(
-                std::min<std::int64_t>(inFlight, totalWindows - w0));
-
-            for (int pass = 0; pass < passes; ++pass) {
-                const int fCount = std::min(
-                    parallel, filtersPerGroup - pass * parallel);
-                const int activeUnits =
-                    (fCount + cfg.filtersPerUnit - 1) /
-                    cfg.filtersPerUnit;
-
-                laneTime.fill(0);
-                fetches.clear();
-                std::uint64_t nzPass = 0;
-                std::uint64_t cells = 0;
-                int windowSeq = 0;
-                for (int w = 0; w < batch; ++w) {
-                    const int ox = static_cast<int>((w0 + w) % outShape.x);
-                    const int oy = static_cast<int>((w0 + w) / outShape.x);
-                    const int x0 = ox * p.stride - p.pad;
-                    const int y0 = oy * p.stride - p.pad;
-                    for (int ky = 0; ky < p.fy; ++ky) {
-                        const int iy = y0 + ky;
-                        if (iy < 0 || iy >= inShape.y)
-                            continue;
-                        for (int kx = 0; kx < p.fx; ++kx) {
-                            const int ix = x0 + kx;
-                            if (ix < 0 || ix >= inShape.x)
-                                continue;
-                            ++cells;
-                            for (int b = 0; b < bricksPerCell; ++b) {
-                                const int lane = core::laneOf(
-                                    cfg.laneAssignment, ix, iy,
-                                    brickBase + b, windowSeq++, lanes);
-                                // The NM fetch happens whether or not
-                                // the brick is skipped, so record it
-                                // either way.
-                                if (mem)
-                                    fetches.push_back(
-                                        {lane,
-                                         (static_cast<std::uint64_t>(iy) *
-                                              inShape.x +
-                                          ix) * bricksTotal +
-                                             static_cast<std::uint64_t>(
-                                                 brickBase + b)});
-                                const std::uint32_t nz =
-                                    counts.at(ix, iy, brickBase + b);
-                                std::uint64_t cost;
-                                if (nz == 0 ||
-                                    weightBrickIneffectual(
-                                        convIndex, ky, kx, brickBase + b,
-                                        pass, weightSparsity)) {
-                                    // Empty activation brick, or a
-                                    // weight brick the whole filter
-                                    // group prunes: one dispatcher
-                                    // slot to step past (the NM
-                                    // fetch still happens), no
-                                    // serialised multiply-cycles.
-                                    cost = cfg.emptyBrickCostsCycle ? 1 : 0;
-                                } else {
-                                    cost = nz;
-                                    nzPass += nz;
-                                }
-                                laneTime[lane] += cost;
-                            }
-                        }
-                    }
-                }
-
-                std::uint64_t groupCycles = 0;
-                std::uint64_t laneSum = 0;
-                for (int l = 0; l < lanes; ++l) {
-                    groupCycles = std::max(groupCycles, laneTime[l]);
-                    laneSum += laneTime[l];
-                }
-
-                r.cycles += groupCycles;
-                r.activity.nonZero += nzPass * units;
-                r.activity.stall +=
-                    (groupCycles * lanes - nzPass) * units;
-                r.energy.nmReads +=
-                    cells * static_cast<std::uint64_t>(bricksPerCell);
-                r.energy.nbinWrites += nzPass * units;
-                r.energy.nbinReads += nzPass * units;
-                r.energy.sbReads += nzPass * activeUnits;
-                r.energy.multOps += nzPass * fCount;
-                r.energy.addOps += nzPass * fCount;
-                r.micro.laneBusyCycles += laneSum;
-                const std::uint64_t barrier =
-                    groupCycles * static_cast<std::uint64_t>(lanes) -
-                    laneSum;
-                r.micro.laneIdleCycles += barrier;
-                r.micro.stalls.windowBarrier += barrier;
-
-                if (mem) {
-                    const mem::GroupCost gc =
-                        mem->fetchGroup(fetches, groupCycles);
-                    const std::uint64_t extra =
-                        gc.conflictCycles + gc.gbFillCycles;
-                    r.cycles += extra;
-                    r.activity.stall += extra * lanes * units;
-                    r.micro.laneIdleCycles += extra * lanes;
-                    r.micro.stalls.nmBankConflict +=
-                        gc.conflictCycles * lanes;
-                    r.micro.stalls.gbMiss += gc.gbFillCycles * lanes;
-                }
-            }
-        }
-    }
-
-    const std::uint64_t windows =
-        static_cast<std::uint64_t>(outShape.x) * outShape.y;
-    r.energy.nmWrites += windows * ((p.filters + lanes - 1) / lanes);
-    r.energy.encoderOps += windows * static_cast<std::uint64_t>(p.filters);
-    r.micro.encoderBusyCycles =
-        windows * static_cast<std::uint64_t>(p.filters);
-    r.micro.encoderBricks =
-        windows * static_cast<std::uint64_t>(
-                      (p.filters + cfg.brickSize - 1) / cfg.brickSize);
-    return r;
+    return weightSparsity > 0.0
+        ? convEncoded<true>(cfg, p, inShape, counts, mem, convIndex,
+                            weightSparsity)
+        : convEncoded<false>(cfg, p, inShape, counts, mem, convIndex,
+                             weightSparsity);
 }
 
 } // namespace cnv::timing

@@ -1,7 +1,7 @@
 /**
  * @file
- * Closed-form per-layer timing/activity models for both
- * architectures.
+ * Closed-form per-layer timing/activity models for the dense
+ * (DaDianNao) and encoded (CNV, Cnvlutin2) conv dataflows.
  *
  * These consume only layer geometry plus a per-brick non-zero count
  * map of the layer's input, and produce exactly the same cycle
@@ -48,37 +48,32 @@ dadiannao::LayerResult convBaseline(const dadiannao::NodeConfig &cfg,
                                     const CountMap &counts, bool isConv1,
                                     mem::MemoryModel *mem = nullptr);
 
-/** CNV conv layer timing in encoded (zero-skipping) mode. */
+/**
+ * Encoded-mode (zero-skipping) conv layer timing: CNV, and Cnvlutin2
+ * when `weightSparsity` > 0 (arXiv 1705.00125). A lane advances past
+ * an (activation brick, weight brick) pair when either side is
+ * ineffectual: empty activation bricks cost one dispatcher slot (or
+ * none, see NodeConfig::emptyBrickCostsCycle), and activation bricks
+ * whose matching weight brick is ineffectual for the whole in-flight
+ * filter group are stepped past in the same single slot (the NM
+ * fetch still happens; only the serialised multiply-cycles
+ * disappear). Which weight bricks are ineffectual is a deterministic
+ * hash of (conv layer, kernel position, depth brick, filter pass) at
+ * rate `weightSparsity` — a stand-in for the static post-pruning
+ * schedule Cnvlutin2 compiles offline. At weightSparsity == 0 no
+ * weight brick is skipped and the model is plain CNV.
+ *
+ * @param mem Optional memory model, as for convBaseline.
+ * @param convIndex The layer's conv index (weight-schedule seed).
+ * @param weightSparsity Ineffectual weight-brick fraction in [0, 1].
+ */
 dadiannao::LayerResult convCnv(const dadiannao::NodeConfig &cfg,
                                const nn::ConvParams &p,
                                const tensor::Shape3 &inShape,
                                const CountMap &counts,
-                               mem::MemoryModel *mem = nullptr);
-
-/**
- * Cnvlutin2 conv layer timing: encoded mode with ineffectual-weight
- * skipping on top of CNV's zero-activation skipping (arXiv
- * 1705.00125). A lane advances past an (activation brick, weight
- * brick) pair when either side is ineffectual: empty activation
- * bricks cost what they cost under CNV, and activation bricks whose
- * matching weight brick is ineffectual for the whole in-flight
- * filter group are stepped past in the same single dispatcher slot
- * (the NM fetch still happens; only the serialised multiply-cycles
- * disappear). Which weight bricks are ineffectual is a deterministic
- * hash of (conv layer, kernel position, depth brick, filter pass) at
- * rate `weightSparsity` — a stand-in for the static post-pruning
- * schedule the paper compiles offline. With weightSparsity == 0 the
- * result is bit-identical to convCnv.
- *
- * @param convIndex The layer's conv index (hash seed component).
- * @param weightSparsity Ineffectual weight-brick fraction in [0, 1].
- */
-dadiannao::LayerResult convCnv2(const dadiannao::NodeConfig &cfg,
-                                const nn::ConvParams &p,
-                                const tensor::Shape3 &inShape,
-                                const CountMap &counts, int convIndex,
-                                double weightSparsity,
-                                mem::MemoryModel *mem = nullptr);
+                               mem::MemoryModel *mem = nullptr,
+                               int convIndex = 0,
+                               double weightSparsity = 0.0);
 
 } // namespace cnv::timing
 

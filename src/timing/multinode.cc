@@ -12,17 +12,16 @@ using dadiannao::NodeConfig;
 
 NetworkResult
 simulateMultiNode(const NodeConfig &nodeCfg, const MultiNodeOptions &mn,
-                  const nn::Network &net, Arch arch,
-                  const RunOptions &opts)
+                  const nn::Network &net, const std::string &archId,
+                  Dataflow df, const RunOptions &opts)
 {
     if (mn.nodes < 1)
         CNV_FATAL("need at least one node, got {}", mn.nodes);
     if (mn.broadcastBlocksPerCycle <= 0.0)
         CNV_FATAL("inter-node bandwidth must be positive");
 
-    NetworkResult result = simulateNetwork(nodeCfg, net, arch, opts);
-    result.architecture =
-        sim::strfmt("{} x{}", archName(arch), mn.nodes);
+    NetworkResult result = simulateNetwork(nodeCfg, net, df, opts);
+    result.architecture = sim::strfmt("{} x{}", archId, mn.nodes);
     if (mn.nodes == 1)
         return result;
 
@@ -33,8 +32,9 @@ simulateMultiNode(const NodeConfig &nodeCfg, const MultiNodeOptions &mn,
     // from its neighbours — (fy - 1) input rows per boundary — and
     // fully-connected layers all-gather their (small) input vector.
     // Exchanges overlap preceding compute; the exposed remainder
-    // stalls. CNV exchanges (value, offset) pairs, 25% wider.
-    const double widthScale = arch == Arch::Cnv ? 1.25 : 1.0;
+    // stalls. Encoded dataflows exchange ZFNAf (value, offset) pairs,
+    // 25% wider.
+    const double widthScale = df.encoded ? 1.25 : 1.0;
     const int n = mn.nodes;
     dadiannao::OverlapTracker overlap;
     const std::uint64_t nodeLanes =
@@ -125,16 +125,16 @@ simulateMultiNode(const NodeConfig &nodeCfg, const MultiNodeOptions &mn,
 
 double
 multiNodeScaling(const NodeConfig &nodeCfg, const MultiNodeOptions &mn,
-                 const nn::Network &net, Arch arch, std::uint64_t seed)
+                 const nn::Network &net, Dataflow df, std::uint64_t seed)
 {
     RunOptions opts;
     opts.imageSeed = seed;
     MultiNodeOptions one = mn;
     one.nodes = 1;
     const auto single =
-        simulateMultiNode(nodeCfg, one, net, arch, opts).totalCycles();
+        simulateMultiNode(nodeCfg, one, net, "", df, opts).totalCycles();
     const auto multi =
-        simulateMultiNode(nodeCfg, mn, net, arch, opts).totalCycles();
+        simulateMultiNode(nodeCfg, mn, net, "", df, opts).totalCycles();
     return static_cast<double>(single) / static_cast<double>(multi);
 }
 

@@ -12,12 +12,14 @@
  * the inter-node links. Fully-connected layers partition their
  * outputs and all-gather the (small) input vector. Exchanges
  * overlap preceding compute; only the exposed remainder stalls.
- * CNV exchanges encoded (value, offset) pairs, 25% wider per
- * neuron.
+ * Encoded dataflows exchange ZFNAf (value, offset) pairs, 25% wider
+ * per neuron.
  */
 
 #ifndef CNV_TIMING_MULTINODE_H
 #define CNV_TIMING_MULTINODE_H
+
+#include <string>
 
 #include "timing/network_model.h"
 
@@ -37,18 +39,23 @@ struct MultiNodeOptions
 };
 
 /**
- * Simulate one image on an n-node system. With nodes = 1 this is
- * exactly simulateNetwork().
+ * Simulate one image on an n-node system of one architecture. With
+ * nodes = 1 the cycles are exactly simulateNetwork()'s.
+ *
+ * @param archId Architecture name; the result is named
+ *        "<archId> x<nodes>".
+ * @param df The architecture's dataflow.
  */
 dadiannao::NetworkResult
 simulateMultiNode(const dadiannao::NodeConfig &nodeCfg,
                   const MultiNodeOptions &mn, const nn::Network &net,
-                  Arch arch, const RunOptions &opts);
+                  const std::string &archId, Dataflow df,
+                  const RunOptions &opts);
 
-/** Speedup of an n-node system over a single node (same arch). */
+/** Speedup of an n-node system over a single node (same dataflow). */
 double multiNodeScaling(const dadiannao::NodeConfig &nodeCfg,
                         const MultiNodeOptions &mn, const nn::Network &net,
-                        Arch arch, std::uint64_t seed);
+                        Dataflow df, std::uint64_t seed);
 
 } // namespace cnv::timing
 

@@ -21,17 +21,6 @@ using dadiannao::NetworkResult;
 using dadiannao::NodeConfig;
 using dadiannao::OverlapTracker;
 
-const char *
-archName(Arch a)
-{
-    switch (a) {
-      case Arch::Baseline: return "dadiannao";
-      case Arch::Cnv: return "cnv";
-      case Arch::Cnv2: return "cnv2";
-    }
-    CNV_FATAL("unknown timing::Arch value {}", static_cast<int>(a));
-}
-
 std::string
 DirectoryTraceProvider::pathFor(const nn::Network &net, int convNodeId,
                                 std::uint64_t imageSeed) const
@@ -149,18 +138,17 @@ fcCnvTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
 } // namespace
 
 LayerResult
-convLayerTiming(const NodeConfig &cfg, Arch arch, const nn::Node &node,
+convLayerTiming(const NodeConfig &cfg, Dataflow df, const nn::Node &node,
                 const CountMap &counts, double weightSparsity,
                 mem::MemoryModel *mem)
 {
+    const double ws = df.skipsWeights ? weightSparsity : 0.0;
     const auto encodedTiming = [&](mem::MemoryModel *m) {
-        return arch == Arch::Cnv2
-            ? convCnv2(cfg, node.conv, node.inShape, counts,
-                       node.convIndex, weightSparsity, m)
-            : convCnv(cfg, node.conv, node.inShape, counts, m);
+        return convCnv(cfg, node.conv, node.inShape, counts, m,
+                       node.convIndex, ws);
     };
     LayerResult conv;
-    if (arch == Arch::Baseline || node.convIndex == 0) {
+    if (!df.encoded || node.convIndex == 0) {
         conv = convBaseline(cfg, node.conv, node.inShape, counts,
                             node.convIndex == 0, mem);
     } else if (cfg.layerModePolicy ==
@@ -189,25 +177,24 @@ convLayerTiming(const NodeConfig &cfg, Arch arch, const nn::Node &node,
 }
 
 LayerResult
-fcLayerTiming(const NodeConfig &cfg, Arch arch, const nn::Network &net,
+fcLayerTiming(const NodeConfig &cfg, Dataflow df, const nn::Network &net,
               int nodeId, OverlapTracker &overlap)
 {
     const nn::Node &n = net.node(nodeId);
-    if (arch != Arch::Baseline && cfg.cnvSkipsFcLayers)
+    if (df.encoded && cfg.cnvSkipsFcLayers)
         return fcCnvTiming(cfg, n, fcInputZeroFraction(net, nodeId),
                            overlap);
     return dadiannao::otherLayerTiming(cfg, n, overlap);
 }
 
 NetworkResult
-simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
+simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Dataflow df,
                 const RunOptions &opts)
 {
     cfg.validate();
 
     NetworkResult result;
     result.network = net.name();
-    result.architecture = archName(arch);
 
     // One model instance per simulateNetwork call (per arch x image
     // task): components lock internally, but single-owner use keeps
@@ -217,7 +204,7 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
     if (opts.memKind != mem::Kind::Ideal) {
         if (memGeo.banks == 0) {
             memGeo.banks = cfg.nmBanks;
-            memGeo.slicedFetch = arch != Arch::Baseline;
+            memGeo.slicedFetch = df.encoded;
             memGeo.nmBytes = cfg.nmBytes;
             memGeo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
         }
@@ -267,10 +254,9 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
             // its zero/non-zero activity split is not, so both
             // architectures consume the same trace (external when a
             // provider supplies one, synthetic otherwise). Pruning
-            // only reaches the encoder (CNV and Cnv2); the baseline
-            // always sees unpruned values.
-            const nn::PruneConfig *prune =
-                arch != Arch::Baseline ? opts.prune : nullptr;
+            // only reaches the encoder; the baseline always sees
+            // unpruned values.
+            const nn::PruneConfig *prune = df.encoded ? opts.prune : nullptr;
             std::shared_ptr<const CountMap> cached;
             CountMap local;
             if (opts.cache) {
@@ -295,7 +281,7 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
             }
             const CountMap &counts = cached ? *cached : local;
 
-            LayerResult conv = convLayerTiming(cfg, arch, n, counts,
+            LayerResult conv = convLayerTiming(cfg, df, n, counts,
                                                opts.weightSparsity,
                                                memModel.get());
             overlap.deposit(conv.cycles);
@@ -334,7 +320,7 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Arch arch,
           }
           case nn::NodeKind::Fc:
             result.layers.push_back(
-                fcLayerTiming(cfg, arch, net, id, overlap));
+                fcLayerTiming(cfg, df, net, id, overlap));
             if (memModel) {
                 // FC synapse traffic (already overlap-timed).
                 const std::uint64_t bytes =
@@ -376,9 +362,9 @@ speedup(const NodeConfig &cfg, const nn::Network &net, int images,
             opts.prune = prune;
             opts.cache = &cache;
             return std::pair<std::uint64_t, std::uint64_t>(
-                simulateNetwork(cfg, net, Arch::Baseline, opts)
-                    .totalCycles(),
-                simulateNetwork(cfg, net, Arch::Cnv, opts).totalCycles());
+                simulateNetwork(cfg, net, Dataflow{}, opts).totalCycles(),
+                simulateNetwork(cfg, net, Dataflow{.encoded = true}, opts)
+                    .totalCycles());
         },
         [&](std::size_t, std::pair<std::uint64_t, std::uint64_t> &&r) {
             base += r.first;

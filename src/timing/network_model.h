@@ -23,14 +23,31 @@
 
 namespace cnv::timing {
 
-/** Which architecture to model. */
-enum class Arch { Baseline, Cnv, Cnv2 };
-
-const char *archName(Arch a);
+/**
+ * What a node's datapath skips: the timing side of an architecture.
+ * Each arch::ArchRegistry row carries one; the default is
+ * DaDianNao's dense dataflow.
+ */
+struct Dataflow
+{
+    /**
+     * ZFNAf-encoded activations drained by zero-skipping lanes
+     * (CNV's encoder and dispatcher): conv layers past conv1 run
+     * convCnv, pruning thresholds reach the encoder, FC layers may
+     * skip zeros (NodeConfig::cnvSkipsFcLayers), and banked NM is
+     * fetched through per-slice pointers.
+     */
+    bool encoded = false;
+    /**
+     * Also step past ineffectual weight bricks (Cnvlutin2) at
+     * RunOptions::weightSparsity.
+     */
+    bool skipsWeights = false;
+};
 
 /**
  * Default fraction of ineffectual weight bricks assumed on the
- * synthesized filters for Cnvlutin2 runs (timing::Arch::Cnv2). The
+ * synthesized filters for weight-skipping (Cnvlutin2) runs. The
  * synthetic filter banks are Gaussian and carry no exact zeros, so
  * the weight-sparsity knob models the post-pruning regime the
  * Cnvlutin2 paper (arXiv 1705.00125) targets: the fraction of
@@ -96,8 +113,8 @@ struct RunOptions
     /** Seed identifying the "image" (trace instance). */
     std::uint64_t imageSeed = 1;
     /**
-     * Dynamic pruning thresholds (CNV only; the baseline has no
-     * encoder and always sees unpruned values).
+     * Dynamic pruning thresholds (encoded dataflows only; the
+     * baseline has no encoder and always sees unpruned values).
      */
     const nn::PruneConfig *prune = nullptr;
     /** Optional external activation traces. */
@@ -110,8 +127,8 @@ struct RunOptions
      */
     TraceCache *cache = nullptr;
     /**
-     * Weight-sparsity knob for Cnv2 (ignored by the other
-     * architectures): fraction of weight bricks that are
+     * Weight-sparsity knob for Dataflow::skipsWeights (ignored by
+     * the other dataflows): fraction of weight bricks that are
      * ineffectual across a filter-group pass and skipped at
      * dispatch. Deterministic per (layer, kernel position, brick,
      * pass) — never per thread or per call — so reports stay
@@ -132,50 +149,52 @@ struct RunOptions
      * Geometry for the banked model. A zero `banks` field (the
      * default) derives the geometry from the NodeConfig: banks =
      * nmBanks, nmBytes, dramBytesPerCycle = offchipBytesPerCycle,
-     * and sliced fetch on every arch except the baseline. The arch
+     * and sliced fetch on the encoded dataflows. The arch
      * layer overrides this via arch::ArchModel::memGeometry().
      */
     mem::Geometry memGeometry{};
 };
 
 /**
- * Conv layer timing on one architecture: applies the per-layer
+ * Conv layer timing on one dataflow: applies the per-layer
  * encoded/conventional selection (conv1 always conventional, the
  * LayerModePolicy otherwise) and dispatches to the closed-form
- * convBaseline/convCnv/convCnv2 models. The returned LayerResult
- * carries the node's name.
+ * convBaseline/convCnv models. The returned LayerResult carries the
+ * node's name.
  *
  * @param counts Per-brick non-zero counts of the layer's input.
- * @param weightSparsity Cnv2 ineffectual-weight-brick fraction
- *        (ignored by the other architectures).
+ * @param weightSparsity Ineffectual-weight-brick fraction (used only
+ *        when the dataflow skips weights).
  * @param mem Optional memory model the chosen mode's NM accesses
  *        are issued against (the profitable-policy estimates stay
  *        side-effect-free; only the winner touches the model).
  */
 dadiannao::LayerResult convLayerTiming(
-    const dadiannao::NodeConfig &cfg, Arch arch, const nn::Node &node,
+    const dadiannao::NodeConfig &cfg, Dataflow df, const nn::Node &node,
     const CountMap &counts, double weightSparsity = kDefaultWeightSparsity,
     mem::MemoryModel *mem = nullptr);
 
 /**
- * Fully-connected layer timing on one architecture: the shared
- * throughput model, or the CNV zero-skipping extension when
- * cfg.cnvSkipsFcLayers is set (the input zero fraction is derived
- * from the nearest upstream conv's calibrated target).
+ * Fully-connected layer timing on one dataflow: the shared
+ * throughput model, or the CNV zero-skipping extension on encoded
+ * dataflows when cfg.cnvSkipsFcLayers is set (the input zero
+ * fraction is derived from the nearest upstream conv's calibrated
+ * target).
  */
 dadiannao::LayerResult fcLayerTiming(const dadiannao::NodeConfig &cfg,
-                                     Arch arch, const nn::Network &net,
+                                     Dataflow df, const nn::Network &net,
                                      int nodeId,
                                      dadiannao::OverlapTracker &overlap);
 
 /**
- * Simulate one image through the network on the given architecture.
+ * Simulate one image through the network on the given dataflow.
  * Conv layers are trace-driven; the first conv layer runs in
- * conventional mode on both architectures; non-conv layers use the
- * shared throughput model.
+ * conventional mode on every dataflow; non-conv layers use the
+ * shared throughput model. The result's architecture field is left
+ * for the caller (arch::ArchModel stamps its registry id).
  */
 dadiannao::NetworkResult simulateNetwork(const dadiannao::NodeConfig &cfg,
-                                         const nn::Network &net, Arch arch,
+                                         const nn::Network &net, Dataflow df,
                                          const RunOptions &opts);
 
 /**

@@ -9,6 +9,9 @@ namespace {
 
 using namespace cnv;
 
+constexpr timing::Dataflow kDense{};
+constexpr timing::Dataflow kEncoded{.encoded = true};
+
 TEST(TimingModel, BaselineCyclesAreContentIndependent)
 {
     const auto net = nn::zoo::build(nn::zoo::NetId::Alex, 3);
@@ -16,10 +19,8 @@ TEST(TimingModel, BaselineCyclesAreContentIndependent)
     timing::RunOptions a, b;
     a.imageSeed = 1;
     b.imageSeed = 2;
-    const auto ra = timing::simulateNetwork(cfg, *net,
-                                            timing::Arch::Baseline, a);
-    const auto rb = timing::simulateNetwork(cfg, *net,
-                                            timing::Arch::Baseline, b);
+    const auto ra = timing::simulateNetwork(cfg, *net, kDense, a);
+    const auto rb = timing::simulateNetwork(cfg, *net, kDense, b);
     EXPECT_EQ(ra.totalCycles(), rb.totalCycles());
     // ... but the zero/non-zero split differs slightly.
     EXPECT_NE(ra.totalActivity().zero, rb.totalActivity().zero);
@@ -41,11 +42,11 @@ TEST(TimingModel, ActivityAccountsEveryLaneCycle)
     const auto net = nn::zoo::build(nn::zoo::NetId::CnnM, 3);
     dadiannao::NodeConfig cfg;
     timing::RunOptions opts;
-    for (auto arch : {timing::Arch::Baseline, timing::Arch::Cnv}) {
-        const auto r = timing::simulateNetwork(cfg, *net, arch, opts);
+    for (const timing::Dataflow df : {kDense, kEncoded}) {
+        const auto r = timing::simulateNetwork(cfg, *net, df, opts);
         EXPECT_EQ(r.totalActivity().total(),
                   r.totalCycles() * 256u)
-            << timing::archName(arch);
+            << "encoded=" << df.encoded;
     }
 }
 

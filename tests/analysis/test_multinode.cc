@@ -11,6 +11,9 @@ namespace {
 
 using namespace cnv;
 
+constexpr timing::Dataflow kDense{};
+constexpr timing::Dataflow kEncoded{.encoded = true};
+
 TEST(MultiNode, OneNodeIsExactlyTheSingleNodeModel)
 {
     const auto net = nn::zoo::build(nn::zoo::NetId::Alex, 3);
@@ -18,10 +21,10 @@ TEST(MultiNode, OneNodeIsExactlyTheSingleNodeModel)
     timing::RunOptions opts;
     timing::MultiNodeOptions mn;
     mn.nodes = 1;
-    EXPECT_EQ(timing::simulateMultiNode(cfg, mn, *net,
-                                        timing::Arch::Cnv, opts)
+    EXPECT_EQ(timing::simulateMultiNode(cfg, mn, *net, "cnv", kEncoded,
+                                        opts)
                   .totalCycles(),
-              timing::simulateNetwork(cfg, *net, timing::Arch::Cnv, opts)
+              timing::simulateNetwork(cfg, *net, kEncoded, opts)
                   .totalCycles());
 }
 
@@ -31,7 +34,7 @@ TEST(MultiNode, TwoNodesNearlyHalveConvTime)
     timing::MultiNodeOptions mn;
     mn.nodes = 2;
     const double s = timing::multiNodeScaling(
-        dadiannao::NodeConfig{}, mn, *net, timing::Arch::Baseline, 3);
+        dadiannao::NodeConfig{}, mn, *net, kDense, 3);
     EXPECT_GT(s, 1.7);
     EXPECT_LE(s, 2.05);
 }
@@ -44,9 +47,9 @@ TEST(MultiNode, ScalingSaturatesWithSlowLinks)
     fast.broadcastBlocksPerCycle = 8.0;
     slow.broadcastBlocksPerCycle = 0.05;
     const double sFast = timing::multiNodeScaling(
-        dadiannao::NodeConfig{}, fast, *net, timing::Arch::Baseline, 3);
+        dadiannao::NodeConfig{}, fast, *net, kDense, 3);
     const double sSlow = timing::multiNodeScaling(
-        dadiannao::NodeConfig{}, slow, *net, timing::Arch::Baseline, 3);
+        dadiannao::NodeConfig{}, slow, *net, kDense, 3);
     EXPECT_GT(sFast, sSlow);
 }
 
@@ -58,14 +61,43 @@ TEST(MultiNode, ExchangeEntriesAppearInTheLayerLog)
     timing::MultiNodeOptions mn;
     mn.nodes = 8;
     mn.broadcastBlocksPerCycle = 0.05; // force exposure
-    const auto r = timing::simulateMultiNode(cfg, mn, *net,
-                                             timing::Arch::Baseline, opts);
+    const auto r = timing::simulateMultiNode(cfg, mn, *net, "dadiannao",
+                                             kDense, opts);
     const bool found = std::any_of(
         r.layers.begin(), r.layers.end(), [](const auto &l) {
             return l.name.find(":halo-exchange") != std::string::npos;
         });
     EXPECT_TRUE(found);
     EXPECT_EQ(r.architecture, "dadiannao x8");
+}
+
+/** Every encoded dataflow exchanges ZFNAf (value, offset) pairs, so
+ *  cnv2's halos are as wide as cnv's, 25% wider than the baseline's.
+ *  The first exchange (conv1's halo) follows identical layers on all
+ *  three, so its exposed part differs only by the exchange width. */
+TEST(MultiNode, EncodedDataflowsExchangeAtEncodedWidth)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Alex, 3);
+    dadiannao::NodeConfig cfg;
+    timing::RunOptions opts;
+    timing::MultiNodeOptions mn;
+    mn.nodes = 8;
+    mn.broadcastBlocksPerCycle = 0.05; // force exposure
+    const auto firstExchange = [&](timing::Dataflow df) {
+        const auto r =
+            timing::simulateMultiNode(cfg, mn, *net, "x", df, opts);
+        for (const auto &l : r.layers)
+            if (l.name.find(":halo-exchange") != std::string::npos)
+                return l.cycles;
+        ADD_FAILURE() << "no exposed halo exchange";
+        return std::uint64_t{0};
+    };
+    const auto dense = firstExchange(kDense);
+    const auto cnv = firstExchange(kEncoded);
+    const auto cnv2 =
+        firstExchange({.encoded = true, .skipsWeights = true});
+    EXPECT_GT(cnv, dense);
+    EXPECT_EQ(cnv2, cnv);
 }
 
 TEST(MultiNode, InvalidOptionsAreFatal)
@@ -76,12 +108,12 @@ TEST(MultiNode, InvalidOptionsAreFatal)
     timing::MultiNodeOptions mn;
     mn.nodes = 0;
     EXPECT_THROW(timing::simulateMultiNode(dadiannao::NodeConfig{}, mn,
-                                           *net, timing::Arch::Cnv, opts),
+                                           *net, "cnv", kEncoded, opts),
                  sim::FatalError);
     mn.nodes = 2;
     mn.broadcastBlocksPerCycle = 0.0;
     EXPECT_THROW(timing::simulateMultiNode(dadiannao::NodeConfig{}, mn,
-                                           *net, timing::Arch::Cnv, opts),
+                                           *net, "cnv", kEncoded, opts),
                  sim::FatalError);
     sim::setVerbosity(sim::Verbosity::Info);
 }

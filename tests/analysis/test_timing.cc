@@ -17,6 +17,9 @@
 namespace {
 
 using namespace cnv;
+
+constexpr timing::Dataflow kDense{};
+constexpr timing::Dataflow kEncoded{.encoded = true};
 using dadiannao::NodeConfig;
 using tensor::Fixed16;
 using tensor::NeuronTensor;
@@ -146,7 +149,7 @@ TEST(TimingNetwork, LayerSequenceCoversAllNodes)
     dadiannao::NodeConfig cfg;
     timing::RunOptions opts;
     const auto r =
-        timing::simulateNetwork(cfg, *net, timing::Arch::Cnv, opts);
+        timing::simulateNetwork(cfg, *net, kEncoded, opts);
     // Every conv node appears by name.
     for (int id : net->convNodeIds()) {
         const std::string &name = net->node(id).name;
@@ -166,15 +169,15 @@ TEST(TimingNetwork, PruneOnlyAffectsCnv)
 
     timing::RunOptions plain, pruned;
     pruned.prune = &prune;
-    EXPECT_EQ(timing::simulateNetwork(cfg, *net, timing::Arch::Baseline,
+    EXPECT_EQ(timing::simulateNetwork(cfg, *net, kDense,
                                       plain)
                   .totalCycles(),
-              timing::simulateNetwork(cfg, *net, timing::Arch::Baseline,
+              timing::simulateNetwork(cfg, *net, kDense,
                                       pruned)
                   .totalCycles());
-    EXPECT_GT(timing::simulateNetwork(cfg, *net, timing::Arch::Cnv, plain)
+    EXPECT_GT(timing::simulateNetwork(cfg, *net, kEncoded, plain)
                   .totalCycles(),
-              timing::simulateNetwork(cfg, *net, timing::Arch::Cnv,
+              timing::simulateNetwork(cfg, *net, kEncoded,
                                       pruned)
                   .totalCycles());
 }
@@ -196,9 +199,9 @@ TEST(TimingNetwork, FcSkippingDoesNotChangeBaseline)
     on.cnvSkipsFcLayers = true;
     timing::RunOptions opts;
     EXPECT_EQ(
-        timing::simulateNetwork(off, *net, timing::Arch::Baseline, opts)
+        timing::simulateNetwork(off, *net, kDense, opts)
             .totalCycles(),
-        timing::simulateNetwork(on, *net, timing::Arch::Baseline, opts)
+        timing::simulateNetwork(on, *net, kDense, opts)
             .totalCycles());
 }
 
@@ -211,7 +214,7 @@ TEST(TimingNetwork, GoogleFirstLayerShareIsModest)
     dadiannao::NodeConfig cfg;
     timing::RunOptions opts;
     const auto r = timing::simulateNetwork(cfg, *net,
-                                           timing::Arch::Baseline, opts);
+                                           kDense, opts);
     const double conv1 =
         static_cast<double>(r.totalActivity().conv1) /
         static_cast<double>(r.totalActivity().total());
@@ -227,10 +230,10 @@ TEST(TimingNetwork, ProfitablePolicyNeverLosesToPaperDefault)
         const auto net = nn::zoo::build(id, 3);
         timing::RunOptions opts;
         EXPECT_LE(timing::simulateNetwork(profitable, *net,
-                                          timing::Arch::Cnv, opts)
+                                          kEncoded, opts)
                       .totalCycles(),
                   timing::simulateNetwork(byDefault, *net,
-                                          timing::Arch::Cnv, opts)
+                                          kEncoded, opts)
                       .totalCycles())
             << nn::zoo::netName(id);
     }
@@ -256,13 +259,13 @@ TEST(TimingNetwork, ProfitablePolicyRescuesDenseLayers)
     profitable.layerModePolicy = dadiannao::LayerModePolicy::Profitable;
     timing::RunOptions opts;
     const auto slow = timing::simulateNetwork(byDefault, net,
-                                              timing::Arch::Cnv, opts);
+                                              kEncoded, opts);
     const auto fast = timing::simulateNetwork(profitable, net,
-                                              timing::Arch::Cnv, opts);
+                                              kEncoded, opts);
     EXPECT_LT(fast.totalCycles(), slow.totalCycles());
     // Conventional fallback equals the baseline on that layer.
     const auto base = timing::simulateNetwork(
-        byDefault, net, timing::Arch::Baseline, opts);
+        byDefault, net, kDense, opts);
     EXPECT_LE(fast.totalCycles(), base.totalCycles());
 }
 

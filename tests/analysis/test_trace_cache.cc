@@ -214,19 +214,19 @@ TEST(TraceCache, SimulateNetworkIdenticalWithAndWithoutCache)
     for (const nn::PruneConfig *p :
          {static_cast<const nn::PruneConfig *>(nullptr),
           static_cast<const nn::PruneConfig *>(&prune)}) {
-        for (timing::Arch arch :
-             {timing::Arch::Baseline, timing::Arch::Cnv}) {
+        for (bool encoded : {false, true}) {
+            const timing::Dataflow df{.encoded = encoded};
             timing::RunOptions plain;
             plain.imageSeed = 11;
             plain.prune = p;
             const auto direct =
-                timing::simulateNetwork(cfg, *net, arch, plain);
+                timing::simulateNetwork(cfg, *net, df, plain);
 
             timing::TraceCache cache;
             timing::RunOptions withCache = plain;
             withCache.cache = &cache;
             const auto cached =
-                timing::simulateNetwork(cfg, *net, arch, withCache);
+                timing::simulateNetwork(cfg, *net, df, withCache);
 
             ASSERT_EQ(direct.layers.size(), cached.layers.size());
             EXPECT_EQ(direct.totalCycles(), cached.totalCycles());

@@ -47,13 +47,13 @@ makeNetwork()
 }
 
 dadiannao::NetworkResult
-runArch(timing::Arch arch)
+runArch(timing::Dataflow df)
 {
     const nn::Network net = makeNetwork();
     const dadiannao::NodeConfig cfg;
     timing::RunOptions opts;
     opts.imageSeed = 3;
-    return timing::simulateNetwork(cfg, net, arch, opts);
+    return timing::simulateNetwork(cfg, net, df, opts);
 }
 
 TEST(TracePipeline, LayerStatKeysAreStableAndPathSafe)
@@ -64,19 +64,19 @@ TEST(TracePipeline, LayerStatKeysAreStableAndPathSafe)
 
 TEST(TracePipeline, StallProfileTotalsMatchIdleCyclesOnBothArchs)
 {
-    for (timing::Arch arch : {timing::Arch::Cnv, timing::Arch::Baseline}) {
-        const auto result = runArch(arch);
+    for (bool encoded : {true, false}) {
+        const auto result = runArch({.encoded = encoded});
         const sim::StallProfile profile = driver::buildStallProfile(result);
         EXPECT_EQ(profile.totalIdle(),
                   result.totalMicro().laneIdleCycles)
-            << timing::archName(arch);
+            << "encoded=" << encoded;
 
         // The invariant holds layer by layer, not just in aggregate.
         int index = 0;
         for (const auto &layer : result.layers) {
             EXPECT_EQ(layer.micro.stalls.total(),
                       layer.micro.laneIdleCycles)
-                << timing::archName(arch) << " "
+                << "encoded=" << encoded << " "
                 << driver::layerStatKey(index, layer.name);
             ++index;
         }
@@ -85,8 +85,8 @@ TEST(TracePipeline, StallProfileTotalsMatchIdleCyclesOnBothArchs)
 
 TEST(TracePipeline, NetworkTraceFoldsBackToTheProfile)
 {
-    const auto cnv = runArch(timing::Arch::Cnv);
-    const auto base = runArch(timing::Arch::Baseline);
+    const auto cnv = runArch({.encoded = true});
+    const auto base = runArch({});
 
     sim::TraceSink sink;
     driver::appendNetworkTrace(sink, cnv, 1, "cnv (tiny2)");

@@ -21,6 +21,9 @@ namespace {
 
 using namespace cnv;
 
+constexpr timing::Dataflow kDense{};
+constexpr timing::Dataflow kEncoded{.encoded = true};
+
 class TraceProviderTest : public ::testing::Test
 {
   protected:
@@ -64,11 +67,9 @@ TEST_F(TraceProviderTest, ExportedTracesReproduceSyntheticRunExactly)
     external.imageSeed = 5;
     external.traces = &provider;
 
-    for (auto arch : {timing::Arch::Baseline, timing::Arch::Cnv}) {
-        const auto a = timing::simulateNetwork(cfg, *net_, arch,
-                                               synthetic);
-        const auto b = timing::simulateNetwork(cfg, *net_, arch,
-                                               external);
+    for (const timing::Dataflow df : {kDense, kEncoded}) {
+        const auto a = timing::simulateNetwork(cfg, *net_, df, synthetic);
+        const auto b = timing::simulateNetwork(cfg, *net_, df, external);
         EXPECT_EQ(a.totalCycles(), b.totalCycles());
         EXPECT_EQ(a.totalActivity().zero, b.totalActivity().zero);
         EXPECT_EQ(a.totalActivity().nonZero, b.totalActivity().nonZero);
@@ -90,9 +91,9 @@ TEST_F(TraceProviderTest, PruningAppliesToExternalTraces)
     pruned.prune = &prune;
 
     const auto a =
-        timing::simulateNetwork(cfg, *net_, timing::Arch::Cnv, plain);
+        timing::simulateNetwork(cfg, *net_, kEncoded, plain);
     const auto b =
-        timing::simulateNetwork(cfg, *net_, timing::Arch::Cnv, pruned);
+        timing::simulateNetwork(cfg, *net_, kEncoded, pruned);
     EXPECT_LT(b.totalCycles(), a.totalCycles());
 
     // The pruned external run matches the pruned synthetic run: the
@@ -100,7 +101,7 @@ TEST_F(TraceProviderTest, PruningAppliesToExternalTraces)
     timing::RunOptions syntheticPruned;
     syntheticPruned.imageSeed = 6;
     syntheticPruned.prune = &prune;
-    const auto c = timing::simulateNetwork(cfg, *net_, timing::Arch::Cnv,
+    const auto c = timing::simulateNetwork(cfg, *net_, kEncoded,
                                            syntheticPruned);
     EXPECT_EQ(b.totalCycles(), c.totalCycles());
 }
@@ -119,10 +120,10 @@ TEST_F(TraceProviderTest, MissingFilesFallBackToSynthesis)
     timing::RunOptions synthetic, partial;
     synthetic.imageSeed = partial.imageSeed = 7;
     partial.traces = &provider;
-    EXPECT_EQ(timing::simulateNetwork(cfg, *net_, timing::Arch::Cnv,
+    EXPECT_EQ(timing::simulateNetwork(cfg, *net_, kEncoded,
                                       synthetic)
                   .totalCycles(),
-              timing::simulateNetwork(cfg, *net_, timing::Arch::Cnv,
+              timing::simulateNetwork(cfg, *net_, kEncoded,
                                       partial)
                   .totalCycles());
 }
@@ -139,7 +140,7 @@ TEST_F(TraceProviderTest, ShapeMismatchIsFatal)
     timing::RunOptions opts;
     opts.imageSeed = 8;
     opts.traces = &provider;
-    EXPECT_THROW(timing::simulateNetwork(cfg, *net_, timing::Arch::Cnv,
+    EXPECT_THROW(timing::simulateNetwork(cfg, *net_, kEncoded,
                                          opts),
                  sim::FatalError);
     sim::setVerbosity(sim::Verbosity::Info);

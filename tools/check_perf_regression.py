@@ -11,10 +11,11 @@ pre-generated ``--current`` file) against a committed baseline
                     With ``--bench`` the binary is run ``--retries``+1
                     times and the fastest run is compared, so scheduler
                     noise on loaded machines does not flake the gate.
-  * model speedups: averageSpeedup / averageCnv2Speedup must not drop
-                    below baseline * (1 - tolerance) — these are
-                    deterministic, so a drop is a real model change
-                    that must come with a re-baseline.
+  * model speedups: averageSpeedup / averageCnv2Speedup must equal
+                    the baseline to a relative 1e-12, in both
+                    directions — they are deterministic, so any move
+                    is a real model change that must come with a
+                    re-baseline.
   * cache hit rate: hostProfile.traceCache.hitRate must not drop more
                     than the tolerance (absolute) below baseline — a
                     drop means trace-cache sharing regressed.
@@ -22,9 +23,9 @@ pre-generated ``--current`` file) against a committed baseline
 ``--report-only`` prints the comparison but always exits 0 (the CI
 static-checks job uses it: CI machines are not comparable to the
 machine that recorded the baseline). ``--self-test`` additionally
-verifies the gate can fail: it re-runs the comparison against a
-synthetically inflated baseline and asserts regressions are
-reported. Re-baselining is documented in docs/development.md.
+verifies the gate can fail: it re-runs the comparison against
+synthetically distorted baselines (halved wall, speedups shifted 1%
+up and 1% down, raised hit rate) and asserts each is reported. Re-baselining is documented in docs/development.md.
 
 Usage: check_perf_regression.py --baseline BENCH.json
            (--current CUR.json | --bench BENCH_BINARY)
@@ -47,6 +48,10 @@ import tempfile
 # Matches the committed baseline's generation recipe (see
 # docs/development.md, "Re-baselining the perf gate").
 BENCH_ARGS = ["--quick", "--images", "1", "--jobs", "4"]
+
+# The model speedups are deterministic: a fresh run reproduces the
+# baseline's doubles, so only float-formatting noise is forgiven.
+SPEEDUP_REL_TOL = 1e-12
 
 
 def stat_values(node: object, out: dict) -> None:
@@ -95,13 +100,12 @@ def compare(base: dict, cur: dict, tolerance: float,
         if bv is None or cv is None:
             print(f"  {key:18} unavailable — skipped")
             continue
-        floor = bv * (1.0 - tolerance)
-        print(f"  {key:18} {cv:10.4f} vs baseline {bv:.4f} "
-              f"(floor {floor:.4f})")
-        if cv < floor:
+        print(f"  {key:18} {cv!r:>10} vs baseline {bv!r} "
+              f"(must match to {SPEEDUP_REL_TOL:g} relative)")
+        if abs(cv - bv) > SPEEDUP_REL_TOL * abs(bv):
             regressions.append(
-                f"{key} regressed: {cv:.4f} < floor {floor:.4f} "
-                f"(baseline {bv:.4f} - {tolerance:.0%})")
+                f"{key} changed: {cv!r} != baseline {bv!r} — the "
+                "model moved; re-baseline deliberately")
 
     bh, ch = base.get("hitRate"), cur.get("hitRate")
     if bh is not None and ch is not None:
@@ -157,15 +161,27 @@ def self_test(base: dict, cur: dict, tolerance: float,
         if not compare(fast, cur, tolerance, 0.0):
             problems.append("gate passed against a halved-wall baseline")
 
-    inflated = copy.deepcopy(base)
-    for key in ("averageSpeedup", "averageCnv2Speedup"):
-        if inflated.get(key):
-            inflated[key] *= 2.0
-    if inflated.get("hitRate") is not None:
-        inflated["hitRate"] = min(1.0, inflated["hitRate"] + 2 * tolerance)
-    print("self-test: inflated-speedup baseline (must regress)")
-    if not compare(inflated, cur, tolerance, wall_slack):
-        problems.append("gate passed against an inflated-speedup baseline")
+    # A 1% move either way is far outside the speedup tolerance, so
+    # each shifted baseline must be reported for every speedup key.
+    for factor in (1.01, 0.99):
+        for key in ("averageSpeedup", "averageCnv2Speedup"):
+            if not base.get(key) or cur.get(key) is None:
+                continue
+            shifted = copy.deepcopy(base)
+            shifted[key] *= factor
+            print(f"self-test: {key} baseline x{factor} (must regress)")
+            found = compare(shifted, cur, tolerance, wall_slack)
+            if not any(r.startswith(key) for r in found):
+                problems.append(
+                    f"gate passed against a {key} baseline x{factor}")
+
+    if base.get("hitRate") is not None and cur.get("hitRate") is not None:
+        raised = copy.deepcopy(base)
+        raised["hitRate"] = cur["hitRate"] + 2 * tolerance
+        print("self-test: raised-hit-rate baseline (must regress)")
+        found = compare(raised, cur, tolerance, wall_slack)
+        if not any(r.startswith("trace-cache") for r in found):
+            problems.append("gate passed against a raised-hit-rate baseline")
 
     return problems
 

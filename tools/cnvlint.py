@@ -2,7 +2,7 @@
 """cnvlint — Cnvlutin-specific invariants no generic linter can know.
 
 Run as a CTest check (see tests/CMakeLists.txt) from the repository
-root, or pass the root as the first argument. Eleven rules over
+root, or pass the root as the first argument. Ten rules over
 ``src/**``:
 
   magic-16      The brick/lane/unit/filter/bank geometry of the paper
@@ -31,12 +31,6 @@ root, or pass the root as the first argument. Eleven rules over
                 and src/sim/trace_event.cc) must be documented in
                 docs/observability.md, so the wire schema and its
                 documentation cannot drift apart.
-  arch-dispatch Architecture variants are selected through the
-                ``arch::ArchModel`` registry (src/arch/), never by
-                dispatching on the ``timing::Arch`` / ``power::Arch``
-                enums directly. The enums may appear only inside
-                ``src/timing/``, ``src/power/`` (their definitions)
-                and ``src/arch/`` (the registry bridge wrapping them).
   raw-thread    All concurrency goes through the deterministic pool
                 (``sim::ThreadPool`` / ``sim::parallelFor``), so
                 ``std::thread``, ``std::jthread`` and ``std::async``
@@ -105,10 +99,6 @@ SCHEMA_SOURCES = (
 )
 SCHEMA_DOC = "docs/observability.md"
 
-# Directories where the timing/power Arch enums are legitimately
-# visible: their defining modules plus the registry that wraps them.
-ARCH_DISPATCH_DIR_ALLOWLIST = ("src/timing/", "src/power/", "src/arch/")
-
 # The one module allowed to own threads: the deterministic pool.
 RAW_THREAD_FILE_ALLOWLIST = {
     "src/sim/parallel.h",
@@ -136,7 +126,6 @@ RNG_SOURCE_FILE_ALLOWLIST = {
 UNORDERED_ITER_SCOPE = ("src/driver/", "src/sim/stats_export.")
 
 SUPPRESS = re.compile(r"cnvlint:\s*allow\(([a-z0-9-]+)\)")
-ARCH_ENUM = re.compile(r"\b(?:timing|power)::Arch\b")
 RAW_THREAD = re.compile(r"\bstd::(thread|jthread|async)\b")
 SIMD_INCLUDE = re.compile(
     r"#\s*include\s*<((?:[a-z0-9]*intrin|arm_neon|arm_acle|arm_sve)\.h)>"
@@ -280,24 +269,6 @@ class Linter:
                 path, idx + 1, "cast-ban",
                 f"{m.group(1)} — use the memcpy helpers in "
                 "tensor/bytes.h (or justify with a suppression)",
-            )
-
-    def check_arch_dispatch(self, path: Path, lines: list[str]) -> None:
-        rel = str(path.relative_to(self.root))
-        if rel.startswith(ARCH_DISPATCH_DIR_ALLOWLIST):
-            return
-        for idx, raw in enumerate(lines):
-            code = code_of(raw)
-            m = ARCH_ENUM.search(code)
-            if not m:
-                continue
-            if self.suppressed(lines, idx, "arch-dispatch"):
-                continue
-            self.report(
-                path, idx + 1, "arch-dispatch",
-                f"{m.group(0)} outside src/timing, src/power and "
-                "src/arch — select architectures through the "
-                "arch::ArchModel registry (arch/registry.h)",
             )
 
     def check_raw_thread(self, path: Path, lines: list[str]) -> None:
@@ -451,7 +422,6 @@ class Linter:
             self.check_magic16(path, lines)
             self.check_error_style(path, lines)
             self.check_cast_ban(path, lines)
-            self.check_arch_dispatch(path, lines)
             self.check_raw_thread(path, lines)
             self.check_raw_simd(path, lines)
             self.check_host_timing(path, lines)

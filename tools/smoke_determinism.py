@@ -11,12 +11,12 @@ documented in docs/architecture.md ("Threading model and
 determinism"): every result, stat tree, and cache counter must be
 invariant under the worker-pool size.
 
-Three experiments run: the wide five-architecture sweep on nin under
-the default ideal memory model; a ``--mem banked`` nin run over
-dadiannao/cnv/cnv2 — the banked hierarchy's conflict, buffer and
-DRAM counters must be just as job-count-invariant as the cycle
-counts (one `mem::MemoryModel` per (arch, image) task, never shared
-across workers); and a one-image vgg19 run over dadiannao/cnv/cnv2,
+Three experiments run: every built-in architecture on nin under the
+default ideal memory model; the same sweep under ``--mem banked`` —
+the banked hierarchy's conflict, buffer and DRAM counters must be
+just as job-count-invariant as the cycle counts (one
+`mem::MemoryModel` per (arch, image) task, never shared across
+workers); and a one-image vgg19 run over dadiannao/cnv/cnv2,
 where the (arch x image) grid is only three tasks and nearly all the
 parallelism is the cache warm's fan-out across conv layers.
 
@@ -36,6 +36,7 @@ import subprocess
 import sys
 
 VOLATILE_KEYS = ('"jobs"', '"wallSeconds"')
+ALL_ARCHS = "dadiannao,cnv,cnv2,cnv-pruned,cnv-b4,cnv-b8,cnv-b32"
 
 def strip_host_profile(lines: list[str], path: pathlib.Path) -> list[str]:
     """Drop the whole "hostProfile": { ... } block (exactly one)."""
@@ -116,11 +117,10 @@ def main(argv: list[str]) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     failures = compare_pair(
-        cnvsim, outdir, "ideal", "nin", 2,
-        ["--arch", "dadiannao,cnv,cnv2,cnv-pruned,cnv-b8"])
+        cnvsim, outdir, "ideal", "nin", 2, ["--arch", ALL_ARCHS])
     failures += compare_pair(
         cnvsim, outdir, "banked", "nin", 2,
-        ["--arch", "dadiannao,cnv,cnv2", "--mem", "banked"])
+        ["--arch", ALL_ARCHS, "--mem", "banked"])
     failures += compare_pair(
         cnvsim, outdir, "vgg19", "vgg19", 1,
         ["--arch", "dadiannao,cnv,cnv2"])
