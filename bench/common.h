@@ -6,7 +6,7 @@
  * paper reports, plus the paper's value for comparison.
  *
  * Options (all optional):
- *   --images N   trace instances per network (default varies)
+ *   --images N   trace instances per network, >= 1 (default varies)
  *   --seed S     root seed
  *   --csv        emit CSV instead of an aligned table
  *   --quick      minimal work (used for smoke runs)
@@ -105,8 +105,23 @@ parseArgs(int argc, char **argv, int defaultImages = 2)
                 std::exit(2);
             }
         };
+        // Output paths must name a file; an empty one would
+        // silently write nothing.
+        auto path = [&](std::string &out) {
+            out = next();
+            if (out.empty()) {
+                std::cerr << "invalid value '' for " << arg
+                          << " (expected an output path)\n";
+                std::exit(2);
+            }
+        };
         if (arg == "--images") {
             numeric(opts.images);
+            if (opts.images < 1) {
+                std::cerr << "invalid numeric value '" << opts.images
+                          << "' for " << arg << " (expected >= 1)\n";
+                std::exit(2);
+            }
         } else if (arg == "--seed") {
             numeric(opts.seed);
         } else if (arg == "--jobs") {
@@ -126,9 +141,9 @@ parseArgs(int argc, char **argv, int defaultImages = 2)
             }
             opts.memKind = *kind;
         } else if (arg == "--json") {
-            opts.json = next();
+            path(opts.json);
         } else if (arg == "--trace-out") {
-            opts.traceOut = next();
+            path(opts.traceOut);
         } else if (arg == "--csv") {
             opts.csv = true;
         } else if (arg == "--quick") {

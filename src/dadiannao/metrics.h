@@ -11,6 +11,8 @@
 #ifndef CNV_DADIANNAO_METRICS_H
 #define CNV_DADIANNAO_METRICS_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -83,49 +85,128 @@ struct EnergyCounters
 };
 
 /**
- * Reason-attributed idle lane-cycles. Every idle lane-cycle a model
- * reports in MicroTrace::laneIdleCycles is assigned to exactly one
- * field here, so total() == laneIdleCycles wherever both are filled
- * (enforced by tests/analysis/test_trace_pipeline.cc). The reason
- * vocabulary matches sim::StallReason (sim/stall_profile.h).
+ * Why a neuron lane sat idle for a span of cycles. The order is the
+ * report order, the stall-CSV order and the trace's stall-track
+ * order; every idle lane-cycle a model reports carries exactly one
+ * reason.
+ */
+enum class StallReason : std::uint8_t {
+    /** Lane had bricks left but its brick-buffer entry was empty
+     *  (waiting on an NM fetch); on the baseline, the equivalent
+     *  NBin-empty pipeline-fill wait. */
+    BrickBufferEmpty = 0,
+    /** Lane finished its window-group work early and waited at the
+     *  per-window-group synchronisation barrier (Section IV-B5). */
+    WindowBarrier,
+    /** Whole node idle on the off-chip synapse stream (exposed
+     *  synapse-load time not hidden by compute overlap). */
+    SynapseWait,
+    /** Lane's slice ran dry while other lanes were still draining
+     *  theirs. No current model separates this from WindowBarrier,
+     *  so it reports zero. */
+    SliceDrained,
+    /** Independent slice fetch pointers landed on the same NM bank
+     *  and serialised (`--mem banked`, mem::BankedNm). */
+    NmBankConflict,
+    /** Global-buffer miss fills not hidden behind the window
+     *  group's compute (`--mem banked`, mem::GlobalBuffer). */
+    GbMiss,
+    /** Whole node idle on an off-chip activation spill past the NM
+     *  capacity (`--mem banked`, mem::DramChannel). */
+    DramWait,
+};
+
+/** Number of distinct stall reasons. */
+inline constexpr std::size_t kStallReasonCount = 7;
+
+/** One row of the stall vocabulary. */
+struct StallReasonInfo
+{
+    StallReason reason;
+    /** Stable snake_case name: stat key, CSV cell and trace span name. */
+    const char *name;
+    /** One-line description carried by the report counters. */
+    const char *desc;
+};
+
+/** The stall vocabulary, indexed (and ordered) by StallReason. */
+inline constexpr std::array<StallReasonInfo, kStallReasonCount>
+    kStallReasons = {{
+        {StallReason::BrickBufferEmpty, "brick_buffer_empty",
+         "lane-cycles idle waiting on NM brick fetches"},
+        {StallReason::WindowBarrier, "window_barrier",
+         "lane-cycles idle at window-group sync barriers"},
+        {StallReason::SynapseWait, "synapse_wait",
+         "lane-cycles idle on the off-chip synapse stream"},
+        {StallReason::SliceDrained, "slice_drained",
+         "lane-cycles idle with the lane's slice drained"},
+        {StallReason::NmBankConflict, "nm_bank_conflict",
+         "lane-cycles idle serialising on NM bank conflicts"},
+        {StallReason::GbMiss, "gb_miss",
+         "lane-cycles idle on exposed global-buffer miss fills"},
+        {StallReason::DramWait, "dram_wait",
+         "lane-cycles idle on off-chip activation spills"},
+    }};
+
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < kStallReasonCount; ++i) {
+            if (static_cast<std::size_t>(kStallReasons[i].reason) != i)
+                return false;
+        }
+        return true;
+    }(),
+    "kStallReasons rows must follow StallReason order");
+
+/**
+ * True for the reasons only the banked memory hierarchy produces.
+ * Reports emit them only when NetworkResult::memModelled, so ideal
+ * reports stay byte-identical to pre-mem builds.
+ */
+constexpr bool
+isMemoryStall(StallReason r)
+{
+    return r >= StallReason::NmBankConflict;
+}
+
+/**
+ * Reason-attributed idle lane-cycles, indexed by StallReason. Every
+ * idle lane-cycle a model reports in MicroTrace::laneIdleCycles is
+ * assigned to exactly one reason, so total() == laneIdleCycles
+ * wherever both are filled (enforced by tests/analysis/
+ * test_trace_pipeline.cc and at runtime by `cnvsim trace`).
  */
 struct StallBreakdown
 {
-    /** Waiting on an NM brick fetch (or NBin fill, baseline). */
-    std::uint64_t brickBufferEmpty = 0;
-    /** Waiting at a window-group synchronisation barrier. */
-    std::uint64_t windowBarrier = 0;
-    /** Waiting on the exposed off-chip synapse stream. */
-    std::uint64_t synapseWait = 0;
-    /** Lane slice drained while other lanes still worked. */
-    std::uint64_t sliceDrained = 0;
-    /** Slice fetch pointers serialised on an NM bank conflict
-     *  (`--mem banked` runs only; zero under the ideal model). */
-    std::uint64_t nmBankConflict = 0;
-    /** Global-buffer miss fills not hidden behind compute
-     *  (`--mem banked` runs only). */
-    std::uint64_t gbMiss = 0;
-    /** Off-chip activation spill past the NM capacity
-     *  (`--mem banked` runs only). */
-    std::uint64_t dramWait = 0;
+    std::array<std::uint64_t, kStallReasonCount> cycles{};
 
+    std::uint64_t &
+    operator[](StallReason r)
+    {
+        return cycles[static_cast<std::size_t>(r)];
+    }
+
+    std::uint64_t
+    operator[](StallReason r) const
+    {
+        return cycles[static_cast<std::size_t>(r)];
+    }
+
+    /** Idle lane-cycles summed over every reason. */
     std::uint64_t
     total() const
     {
-        return brickBufferEmpty + windowBarrier + synapseWait +
-               sliceDrained + nmBankConflict + gbMiss + dramWait;
+        std::uint64_t sum = 0;
+        for (std::uint64_t c : cycles)
+            sum += c;
+        return sum;
     }
 
     StallBreakdown &
     operator+=(const StallBreakdown &o)
     {
-        brickBufferEmpty += o.brickBufferEmpty;
-        windowBarrier += o.windowBarrier;
-        synapseWait += o.synapseWait;
-        sliceDrained += o.sliceDrained;
-        nmBankConflict += o.nmBankConflict;
-        gbMiss += o.gbMiss;
-        dramWait += o.dramWait;
+        for (std::size_t i = 0; i < kStallReasonCount; ++i)
+            cycles[i] += o.cycles[i];
         return *this;
     }
 };

@@ -658,13 +658,14 @@ cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
 
     // The attribution must account for every idle lane-cycle the
     // models reported — a gap means a producer forgot its reason.
+    std::vector<dadiannao::StallBreakdown> stalls;
     for (const driver::ArchTimeline &tl : timelines) {
-        const auto profile = driver::buildStallProfile(tl.result);
         const auto micro = tl.result.totalMicro();
-        CNV_ASSERT(profile.totalIdle() == micro.laneIdleCycles,
+        CNV_ASSERT(micro.stalls.total() == micro.laneIdleCycles,
                    "{} stall breakdown ({}) != idle lane-cycles ({})",
-                   tl.result.architecture, profile.totalIdle(),
+                   tl.result.architecture, micro.stalls.total(),
                    micro.laneIdleCycles);
+        stalls.push_back(micro.stalls);
     }
 
     auto open = [](const std::string &path) {
@@ -690,31 +691,27 @@ cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
         auto os = open(opts.stallCsv);
         bool header = true;
         for (const driver::ArchTimeline &tl : timelines) {
-            driver::buildStallProfile(tl.result).writeCsv(
-                os, tl.result.architecture, header);
+            driver::writeStallCsv(os, tl.result, tl.result.architecture,
+                                  header);
             header = false;
         }
         std::cout << "wrote stall breakdown to " << opts.stallCsv << '\n';
     }
 
     // Per-reason summary, all selected architectures side by side.
-    std::vector<sim::StallProfile> profiles;
     std::vector<std::string> header{"stall reason"};
-    for (const driver::ArchTimeline &tl : timelines) {
-        profiles.push_back(driver::buildStallProfile(tl.result));
+    for (const driver::ArchTimeline &tl : timelines)
         header.push_back(tl.model->id() + " lane-cycles");
-    }
     sim::Table t(header);
-    for (int i = 0; i < sim::kStallReasonCount; ++i) {
-        const auto r = static_cast<sim::StallReason>(i);
-        std::vector<std::string> row{sim::stallReasonName(r)};
-        for (const sim::StallProfile &p : profiles)
-            row.push_back(sim::Table::intNum(p.total(r)));
+    for (const dadiannao::StallReasonInfo &info : dadiannao::kStallReasons) {
+        std::vector<std::string> row{info.name};
+        for (const dadiannao::StallBreakdown &s : stalls)
+            row.push_back(sim::Table::intNum(s[info.reason]));
         t.addRow(row);
     }
     std::vector<std::string> totals{"total idle"};
-    for (const sim::StallProfile &p : profiles)
-        totals.push_back(sim::Table::intNum(p.totalIdle()));
+    for (const dadiannao::StallBreakdown &s : stalls)
+        totals.push_back(sim::Table::intNum(s.total()));
     t.addRow(totals);
     t.print(std::cout);
 

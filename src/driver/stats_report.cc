@@ -51,37 +51,10 @@ fillMicro(sim::StatGroup &g, const dadiannao::MicroTrace &m,
                  "per-unit lane-cycles idle (sync or memory)") +=
         m.laneIdleCycles;
     sim::StatGroup &stalls = g.addGroup("stalls");
-    stalls.addCounter(
-        sim::stallReasonName(sim::StallReason::BrickBufferEmpty),
-        "lane-cycles idle waiting on NM brick fetches") +=
-        m.stalls.brickBufferEmpty;
-    stalls.addCounter(
-        sim::stallReasonName(sim::StallReason::WindowBarrier),
-        "lane-cycles idle at window-group sync barriers") +=
-        m.stalls.windowBarrier;
-    stalls.addCounter(sim::stallReasonName(sim::StallReason::SynapseWait),
-                      "lane-cycles idle on the off-chip synapse stream") +=
-        m.stalls.synapseWait;
-    stalls.addCounter(
-        sim::stallReasonName(sim::StallReason::SliceDrained),
-        "lane-cycles idle with the lane's slice drained") +=
-        m.stalls.sliceDrained;
-    // The memory stall reasons exist only on `--mem banked` runs;
-    // omitting them otherwise keeps ideal reports byte-identical
-    // to pre-mem builds.
-    if (memModelled) {
-        stalls.addCounter(
-            sim::stallReasonName(sim::StallReason::NmBankConflict),
-            "lane-cycles idle serialising on NM bank conflicts") +=
-            m.stalls.nmBankConflict;
-        stalls.addCounter(
-            sim::stallReasonName(sim::StallReason::GbMiss),
-            "lane-cycles idle on exposed global-buffer miss fills") +=
-            m.stalls.gbMiss;
-        stalls.addCounter(
-            sim::stallReasonName(sim::StallReason::DramWait),
-            "lane-cycles idle on off-chip activation spills") +=
-            m.stalls.dramWait;
+    for (const dadiannao::StallReasonInfo &info : dadiannao::kStallReasons) {
+        if (dadiannao::isMemoryStall(info.reason) && !memModelled)
+            continue;
+        stalls.addCounter(info.name, info.desc) += m.stalls[info.reason];
     }
     g.addCounter("encoderBusyCycles",
                  "cycles the serial encoder spent converting") +=
@@ -97,7 +70,12 @@ fillMicro(sim::StatGroup &g, const dadiannao::MicroTrace &m,
 std::uint64_t
 memStallCycles(const dadiannao::StallBreakdown &s)
 {
-    return s.nmBankConflict + s.gbMiss + s.dramWait;
+    std::uint64_t sum = 0;
+    for (const dadiannao::StallReasonInfo &info : dadiannao::kStallReasons) {
+        if (dadiannao::isMemoryStall(info.reason))
+            sum += s[info.reason];
+    }
+    return sum;
 }
 
 /** Memory-bound: over half the layer's lane-cycles wait on memory. */

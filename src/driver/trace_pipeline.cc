@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.h"
+#include "sim/stats_export.h"
 
 namespace cnv::driver {
 
@@ -14,26 +15,6 @@ layerStatKey(int index, const std::string &name)
     return sim::strfmt("L{}_{}", index, out);
 }
 
-namespace {
-
-/** Reason's idle lane-cycles in one layer's breakdown. */
-std::uint64_t
-reasonCycles(const dadiannao::StallBreakdown &s, sim::StallReason r)
-{
-    switch (r) {
-      case sim::StallReason::BrickBufferEmpty: return s.brickBufferEmpty;
-      case sim::StallReason::WindowBarrier: return s.windowBarrier;
-      case sim::StallReason::SynapseWait: return s.synapseWait;
-      case sim::StallReason::SliceDrained: return s.sliceDrained;
-      case sim::StallReason::NmBankConflict: return s.nmBankConflict;
-      case sim::StallReason::GbMiss: return s.gbMiss;
-      case sim::StallReason::DramWait: return s.dramWait;
-    }
-    return 0;
-}
-
-} // namespace
-
 void
 appendNetworkTrace(sim::TraceSink &sink,
                    const dadiannao::NetworkResult &result,
@@ -42,24 +23,25 @@ appendNetworkTrace(sim::TraceSink &sink,
     constexpr std::uint32_t kLayersTid = 0;
     constexpr std::uint32_t kStallTidBase = 1;
     constexpr std::uint32_t kEncoderTid =
-        kStallTidBase + sim::kStallReasonCount;
+        kStallTidBase +
+        static_cast<std::uint32_t>(dadiannao::kStallReasonCount);
     constexpr std::uint32_t kDramTid = kEncoderTid + 1;
+    auto stallTid = [](dadiannao::StallReason r) {
+        return kStallTidBase + static_cast<std::uint32_t>(r);
+    };
 
     sink.setProcessName(pid, processName);
     sink.setThreadName(pid, kLayersTid, "layers");
-    for (int i = 0; i < sim::kStallReasonCount; ++i) {
-        const auto r = static_cast<sim::StallReason>(i);
-        sink.setThreadName(pid,
-                           kStallTidBase + static_cast<std::uint32_t>(i),
-                           sim::stallReasonName(r));
-    }
+    for (const dadiannao::StallReasonInfo &info : dadiannao::kStallReasons)
+        sink.setThreadName(pid, stallTid(info.reason), info.name);
     sink.setThreadName(pid, kEncoderTid, "encoder");
     if (result.memModelled)
         sink.setThreadName(pid, kDramTid, "dram");
 
     // Layer and stall spans first: they carry the quantitative
-    // payload (the stall profile folds from them), so a capped sink
-    // must drop the cosmetic counter samples before these.
+    // payload (their laneCycles sum to the run's idle lane-cycles),
+    // so a capped sink must drop the cosmetic counter samples before
+    // these.
     int index = 0;
     for (const dadiannao::LayerResult &layer : result.layers) {
         const std::string key = layerStatKey(index++, layer.name);
@@ -71,15 +53,12 @@ appendNetworkTrace(sim::TraceSink &sink,
             {sim::TraceArg("laneBusyCycles", layer.micro.laneBusyCycles),
              sim::TraceArg("laneIdleCycles",
                            layer.micro.laneIdleCycles)});
-        for (int i = 0; i < sim::kStallReasonCount; ++i) {
-            const auto r = static_cast<sim::StallReason>(i);
-            const std::uint64_t cycles =
-                reasonCycles(layer.micro.stalls, r);
+        for (const dadiannao::StallReasonInfo &info :
+             dadiannao::kStallReasons) {
+            const std::uint64_t cycles = layer.micro.stalls[info.reason];
             if (cycles == 0)
                 continue;
-            sink.complete(pid,
-                          kStallTidBase + static_cast<std::uint32_t>(i),
-                          sim::stallReasonName(r), "stall",
+            sink.complete(pid, stallTid(info.reason), info.name, "stall",
                           layer.startCycle, layer.cycles,
                           {sim::TraceArg("layer", key),
                            sim::TraceArg("laneCycles", cycles)});
@@ -116,22 +95,29 @@ appendNetworkTrace(sim::TraceSink &sink,
     }
 }
 
-sim::StallProfile
-buildStallProfile(const dadiannao::NetworkResult &result)
+void
+writeStallCsv(std::ostream &os, const dadiannao::NetworkResult &result,
+              const std::string &scope, bool header)
 {
-    sim::StallProfile profile;
+    if (header) {
+        if (!scope.empty())
+            os << "scope,";
+        os << "layer,reason,idleLaneCycles\n";
+    }
     int index = 0;
     for (const dadiannao::LayerResult &layer : result.layers) {
         const std::string key = layerStatKey(index++, layer.name);
-        for (int i = 0; i < sim::kStallReasonCount; ++i) {
-            const auto r = static_cast<sim::StallReason>(i);
-            const std::uint64_t cycles =
-                reasonCycles(layer.micro.stalls, r);
-            if (cycles > 0)
-                profile.add(key, r, cycles);
+        for (const dadiannao::StallReasonInfo &info :
+             dadiannao::kStallReasons) {
+            const std::uint64_t cycles = layer.micro.stalls[info.reason];
+            if (cycles == 0)
+                continue;
+            if (!scope.empty())
+                os << sim::csvQuote(scope) << ',';
+            os << sim::csvQuote(key) << ',' << info.name << ',' << cycles
+               << '\n';
         }
     }
-    return profile;
 }
 
 } // namespace cnv::driver

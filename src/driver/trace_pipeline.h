@@ -1,16 +1,14 @@
 /**
  * @file
  * Network-level trace emission: folds the per-layer results of a
- * whole-network run (either architecture) into a Chrome trace-event
- * stream and a per-layer stall profile.
+ * whole-network run (any architecture) into a Chrome trace-event
+ * stream and a per-layer stall CSV.
  *
- * The fast models measure each layer as aggregate counters rather
+ * The timing models measure each layer as aggregate counters rather
  * than live spans, so this adapter reconstructs the run's timeline
  * post-hoc from NetworkResult: one process per architecture, a
  * "layers" track of per-layer spans, one track per stall reason
  * carrying the reason's idle lane-cycles, and an encoder track.
- * Lane-level cycle-accurate spans come from the structural
- * pipelines instead (core/pipeline.h, dadiannao/pipeline.h).
  *
  * The `cnvsim trace` subcommand and bench --trace-out options are
  * thin wrappers around these calls; docs/observability.md documents
@@ -21,10 +19,10 @@
 #define CNV_DRIVER_TRACE_PIPELINE_H
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "dadiannao/metrics.h"
-#include "sim/stall_profile.h"
 #include "sim/trace_event.h"
 
 namespace cnv::driver {
@@ -42,7 +40,7 @@ std::string layerStatKey(int index, const std::string &name);
  *
  *  - tid 0 "layers": one span per layer over [startCycle, +cycles),
  *    cat "layer", with busy/idle lane-cycle args;
- *  - tids 1..7, one per sim::StallReason: a span per layer with
+ *  - tids 1..7, one per dadiannao::StallReason: a span per layer with
  *    idle lane-cycles of that reason, cat "stall", named after the
  *    reason, args {layer: layerStatKey, laneCycles: amount};
  *  - tid 8 "encoder": an "encode" span (cat "encoder") per layer
@@ -62,12 +60,20 @@ void appendNetworkTrace(sim::TraceSink &sink,
                         const std::string &processName);
 
 /**
- * Per-layer, per-reason stall profile of one run, keyed by
- * layerStatKey. Its totalIdle() equals the run's
+ * Write one run's stall attribution as sparse CSV rows
+ * `layer,reason,idleLaneCycles` (RFC 4180 quoting), one row per
+ * non-zero (layer, reason) cell in layer order, layers keyed by
+ * layerStatKey. The rows sum to the run's
  * totalMicro().laneIdleCycles as long as every model attributed its
  * idle cycles (enforced by tests/analysis/test_trace_pipeline.cc).
+ *
+ * @param scope When non-empty, prepended to every row as a leading
+ *        `scope` column (the architecture id, so several runs merge
+ *        into one file).
+ * @param header Emit the header row.
  */
-sim::StallProfile buildStallProfile(const dadiannao::NetworkResult &result);
+void writeStallCsv(std::ostream &os, const dadiannao::NetworkResult &result,
+                   const std::string &scope = "", bool header = true);
 
 } // namespace cnv::driver
 

@@ -11,6 +11,7 @@ using core::laneOf;
 using dadiannao::Activity;
 using dadiannao::EnergyCounters;
 using dadiannao::NodeConfig;
+using dadiannao::StallReason;
 using tensor::Accum;
 using tensor::FilterBank;
 using tensor::Fixed16;
@@ -179,7 +180,8 @@ simulateConvCnv(const NodeConfig &cfg, const nn::ConvParams &p,
                     groupCycles * static_cast<std::uint64_t>(lanes) -
                     laneSum;
                 result.timing.micro.laneIdleCycles += barrier;
-                result.timing.micro.stalls.windowBarrier += barrier;
+                result.timing.micro.stalls[StallReason::WindowBarrier] +=
+                    barrier;
             }
         }
 

@@ -11,6 +11,7 @@ namespace cnv::ref {
 using dadiannao::LayerResult;
 using dadiannao::NodeConfig;
 using dadiannao::OverlapTracker;
+using dadiannao::StallReason;
 using tensor::NeuronTensor;
 
 NodeRunResult
@@ -47,7 +48,7 @@ runNetwork(const NodeConfig &cfg, const nn::Network &net,
                                        cfg.nodeLanes());
             loadStall.micro.laneIdleCycles =
                 loadStall.cycles * static_cast<std::uint64_t>(cfg.lanes);
-            loadStall.micro.stalls.synapseWait =
+            loadStall.micro.stalls[StallReason::SynapseWait] =
                 loadStall.micro.laneIdleCycles;
             if (loadStall.cycles > 0)
                 result.timing.layers.push_back(loadStall);

@@ -1,49 +1,10 @@
 #include "sim/stats.h"
 
-#include <cmath>
 #include <iomanip>
 
 #include "sim/logging.h"
 
 namespace cnv::sim {
-
-void
-Distribution::sample(double x)
-{
-    ++count_;
-    sum_ += x;
-    sumSq_ += x * x;
-    if (x < min_)
-        min_ = x;
-    if (x > max_)
-        max_ = x;
-}
-
-double
-Distribution::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    if (count_ < 2)
-        return 0.0;
-    const double n = static_cast<double>(count_);
-    const double var = (sumSq_ - sum_ * sum_ / n) / (n - 1.0);
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    sumSq_ = 0.0;
-    min_ = std::numeric_limits<double>::infinity();
-    max_ = -std::numeric_limits<double>::infinity();
-}
 
 template <typename T, typename... Args>
 T &
@@ -77,12 +38,6 @@ StatGroup::addFormula(const std::string &name, const std::string &desc,
                       std::function<double()> fn)
 {
     return add<Formula>(name, desc, std::move(fn));
-}
-
-Distribution &
-StatGroup::addDistribution(const std::string &name, const std::string &desc)
-{
-    return add<Distribution>(name, desc);
 }
 
 StatGroup &
@@ -126,15 +81,6 @@ StatGroup::get(const std::string &path) const
 }
 
 void
-StatGroup::resetAll()
-{
-    for (auto &stat : stats_)
-        stat->reset();
-    for (auto &group : groups_)
-        group->resetAll();
-}
-
-void
 StatGroup::dump(std::ostream &os, const std::string &prefix) const
 {
     constexpr int kNameWidth = 48;
@@ -148,18 +94,6 @@ StatGroup::dump(std::ostream &os, const std::string &prefix) const
     }
     for (const auto &group : groups_)
         group->dump(os, base);
-}
-
-void
-StatGroup::visit(const std::function<void(const std::string &,
-                                          const Stat &)> &fn,
-                 const std::string &prefix) const
-{
-    const std::string base = prefix.empty() ? name_ : prefix + "." + name_;
-    for (const auto &stat : stats_)
-        fn(base + "." + stat->name(), *stat);
-    for (const auto &group : groups_)
-        group->visit(fn, base);
 }
 
 } // namespace cnv::sim

@@ -2,10 +2,10 @@
  * @file
  * Named-statistics package, modelled on gem5's stats framework.
  *
- * Components declare named, documented statistics inside a
- * StatGroup; the group can dump all values as a table, be queried
- * by name (used by the driver to assemble experiment reports), and
- * be reset between measurement regions.
+ * The driver turns each result record into a tree of StatGroups of
+ * named, documented statistics; a group can dump all values as a
+ * table, be queried by name (used to assemble experiment reports),
+ * and is serialized by sim/stats_export.h.
  */
 
 #ifndef CNV_SIM_STATS_H
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -40,9 +39,6 @@ class Stat
     /** Scalar value of the statistic (for dumping and queries). */
     virtual double value() const = 0;
 
-    /** Reset the statistic to its initial state. */
-    virtual void reset() = 0;
-
   private:
     std::string name_;
     std::string desc_;
@@ -59,7 +55,6 @@ class Counter : public Stat
 
     std::uint64_t count() const { return count_; }
     double value() const override { return static_cast<double>(count_); }
-    void reset() override { count_ = 0; }
 
   private:
     std::uint64_t count_ = 0;
@@ -75,7 +70,6 @@ class Scalar : public Stat
     Scalar &operator+=(double v) { value_ += v; return *this; }
 
     double value() const override { return value_; }
-    void reset() override { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
@@ -90,36 +84,9 @@ class Formula : public Stat
     {}
 
     double value() const override { return fn_(); }
-    void reset() override {}
 
   private:
     std::function<double()> fn_;
-};
-
-/** Running distribution: count, mean, stddev, min, max. */
-class Distribution : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void sample(double x);
-
-    std::uint64_t count() const { return count_; }
-    double mean() const;
-    double stddev() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    /** value() reports the mean, the most useful single summary. */
-    double value() const override { return mean(); }
-    void reset() override;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /**
@@ -138,8 +105,6 @@ class StatGroup
     Scalar &addScalar(const std::string &name, const std::string &desc);
     Formula &addFormula(const std::string &name, const std::string &desc,
                         std::function<double()> fn);
-    Distribution &addDistribution(const std::string &name,
-                                  const std::string &desc);
 
     /** Create (and own) a nested group. */
     StatGroup &addGroup(const std::string &name);
@@ -155,16 +120,8 @@ class StatGroup
     /** Value of a statistic that must exist; fatal when absent. */
     double get(const std::string &path) const;
 
-    /** Reset all statistics in this group and nested groups. */
-    void resetAll();
-
     /** Dump "name value # desc" lines, depth-first. */
     void dump(std::ostream &os, const std::string &prefix = "") const;
-
-    /** Visit every stat with its dot-joined full name. */
-    void visit(const std::function<void(const std::string &,
-                                        const Stat &)> &fn,
-               const std::string &prefix = "") const;
 
     /** Immediate statistics of this group, in declaration order. */
     const std::deque<std::unique_ptr<Stat>> &statChildren() const

@@ -10,7 +10,7 @@
  *    bench artifacts) can compose manifests and several stat trees
  *    into one document.
  *  - CSV with one row per statistic, dot-joined paths, and RFC
- *    4180 quoting; distributions flatten into one row per moment.
+ *    4180 quoting.
  *
  * The emitted schema is documented field-for-field in
  * docs/observability.md; tests/sim/test_stats_export.cc pins it.
@@ -60,7 +60,6 @@ class JsonWriter
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(int v);
     JsonWriter &value(bool v);
-    JsonWriter &null();
 
     /** True once every opened container has been closed. */
     bool complete() const { return stack_.empty() && emittedRoot_; }
@@ -91,15 +90,12 @@ class JsonWriter
  *   { "name": "<group>",
  *     "stats": { "<stat>": { "kind": "counter|scalar|formula",
  *                            "value": <number>,
- *                            "desc": "<description>" }
- *                | { "kind": "distribution", "count": N, "mean": m,
- *                    "stddev": s, "min": lo, "max": hi,
- *                    "desc": "..." } },
+ *                            "desc": "<description>" } },
  *     "groups": { "<child>": { ... recursively ... } } }
  *
- * Counters emit integer values; an empty distribution's min/max are
- * null. The writer must be positioned where a value is legal (the
- * document root, an array slot, or after key()).
+ * Counters emit integer values. The writer must be positioned where
+ * a value is legal (the document root, an array slot, or after
+ * key()).
  */
 void exportJson(const StatGroup &group, JsonWriter &w);
 
@@ -108,9 +104,8 @@ void exportJson(const StatGroup &group, std::ostream &os);
 
 /**
  * Serialize a stat tree as CSV: `path,kind,value,description` with
- * dot-joined paths rooted at the group's name. Distributions emit
- * one row per moment (path.count/.mean/.stddev/.min/.max). Fields
- * containing commas, quotes, or newlines are RFC 4180 quoted.
+ * dot-joined paths rooted at the group's name. Fields containing
+ * commas, quotes, or newlines are RFC 4180 quoted.
  *
  * @param prefix Optional path prefix prepended to every row
  *        (used to disambiguate several trees in one file).

@@ -72,23 +72,6 @@ TraceSink::counter(std::uint32_t pid, std::uint32_t tid, std::string name,
     events_.push_back(std::move(e));
 }
 
-void
-TraceSink::instant(std::uint32_t pid, std::uint32_t tid, std::string name,
-                   std::string cat, Cycle ts, std::vector<TraceArg> args)
-{
-    if (!admit())
-        return;
-    TraceEvent e;
-    e.phase = 'i';
-    e.pid = pid;
-    e.tid = tid;
-    e.ts = ts;
-    e.name = std::move(name);
-    e.cat = std::move(cat);
-    e.args = std::move(args);
-    events_.push_back(std::move(e));
-}
-
 namespace {
 
 void

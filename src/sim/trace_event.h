@@ -2,17 +2,20 @@
  * @file
  * Cycle-level event tracing in Chrome trace-event format.
  *
- * A TraceSink collects timestamped events — duration spans, counter
- * samples, instants — from any component handed a pointer to it, and
- * serializes them as the Chrome trace-event JSON object format, so a
- * trace loads directly in chrome://tracing or Perfetto. One
- * simulated cycle maps to one microsecond of trace time.
+ * A TraceSink collects timestamped events — duration spans and
+ * counter samples — and serializes them as the Chrome trace-event
+ * JSON object format, so a trace loads directly in chrome://tracing
+ * or Perfetto. The driver reconstructs a simulated run's timeline
+ * into one (driver/trace_pipeline.h), where one cycle maps to one
+ * microsecond of trace time; perfbench/span_trace.cc reuses the
+ * sink for host-time spans.
  *
  * The sink is bounded: events beyond `maxEvents` are dropped (and
  * counted — the drop count is exported in the trace metadata and
  * warned about, never silent). Process/thread naming metadata is
  * stored out of band and survives the cap, so a truncated trace
- * still labels every track (node -> unit -> lane).
+ * still labels every track (architecture -> layers, stall reasons,
+ * encoder, dram).
  *
  * The emitted schema is documented field-for-field in
  * docs/observability.md; tests/sim/test_trace_event.cc pins it.
@@ -59,7 +62,7 @@ struct TraceArg
 /** One Chrome trace-event record ("traceEvents" array element). */
 struct TraceEvent
 {
-    /** Chrome phase code: 'X' complete, 'C' counter, 'i' instant. */
+    /** Chrome phase code: 'X' complete, 'C' counter. */
     char phase = 'X';
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
@@ -68,7 +71,7 @@ struct TraceEvent
     /** Duration in cycles ('X' events only). */
     Cycle dur = 0;
     std::string name;
-    /** Comma-free category tag ("lane", "stall", "encoder", ...). */
+    /** Comma-free category tag ("layer", "stall", "encoder", ...). */
     std::string cat;
     std::vector<TraceArg> args;
 };
@@ -76,8 +79,8 @@ struct TraceEvent
 /**
  * Bounded collector of trace events plus track-naming metadata.
  *
- * Components record through the typed helpers (complete(),
- * counter(), instant()); the driver serializes once at the end via
+ * Producers record through the typed helpers (complete(),
+ * counter()); the caller serializes once at the end via
  * writeJson(). Recording past the event cap drops the event and
  * increments droppedEvents() — a warning is logged on the first
  * drop, and the count lands in the JSON metadata.
@@ -93,10 +96,10 @@ class TraceSink
     TraceSink(const TraceSink &) = delete;
     TraceSink &operator=(const TraceSink &) = delete;
 
-    /** Name the process track (e.g. "cnv node0 unit0"). */
+    /** Name the process track (e.g. "cnv (nin)"). */
     void setProcessName(std::uint32_t pid, std::string name);
 
-    /** Name a thread track within a process (e.g. "lane3"). */
+    /** Name a thread track within a process (e.g. "layers"). */
     void setThreadName(std::uint32_t pid, std::uint32_t tid,
                        std::string name);
 
@@ -108,11 +111,6 @@ class TraceSink
     /** Record a single-series counter ('C') sample. */
     void counter(std::uint32_t pid, std::uint32_t tid, std::string name,
                  Cycle ts, double value);
-
-    /** Record an instant ('i') event. */
-    void instant(std::uint32_t pid, std::uint32_t tid, std::string name,
-                 std::string cat, Cycle ts,
-                 std::vector<TraceArg> args = {});
 
     /** Events admitted so far (metadata excluded), in record order. */
     const std::vector<TraceEvent> &events() const { return events_; }

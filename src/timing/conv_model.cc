@@ -11,6 +11,7 @@ namespace cnv::timing {
 
 using dadiannao::LayerResult;
 using dadiannao::NodeConfig;
+using dadiannao::StallReason;
 using tensor::Shape3;
 
 namespace {
@@ -370,7 +371,7 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                     prof.groupCycles * static_cast<std::uint64_t>(lanes) -
                     prof.laneSum;
                 r.micro.laneIdleCycles += barrier;
-                r.micro.stalls.windowBarrier += barrier;
+                r.micro.stalls[StallReason::WindowBarrier] += barrier;
 
                 if (mem) {
                     // Each pass re-fetches the group's bricks (the
@@ -384,9 +385,10 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                     r.cycles += extra;
                     r.activity.stall += extra * lanes * units;
                     r.micro.laneIdleCycles += extra * lanes;
-                    r.micro.stalls.nmBankConflict +=
+                    r.micro.stalls[StallReason::NmBankConflict] +=
                         gc.conflictCycles * lanes;
-                    r.micro.stalls.gbMiss += gc.gbFillCycles * lanes;
+                    r.micro.stalls[StallReason::GbMiss] +=
+                        gc.gbFillCycles * lanes;
                 }
             }
         }

@@ -20,6 +20,7 @@ using dadiannao::LayerResult;
 using dadiannao::NetworkResult;
 using dadiannao::NodeConfig;
 using dadiannao::OverlapTracker;
+using dadiannao::StallReason;
 
 std::string
 DirectoryTraceProvider::pathFor(const nn::Network &net, int convNodeId,
@@ -125,7 +126,7 @@ fcCnvTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
     r.micro.laneIdleCycles =
         (r.cycles - std::min(compute, r.cycles)) *
         static_cast<std::uint64_t>(cfg.lanes);
-    r.micro.stalls.synapseWait = r.micro.laneIdleCycles;
+    r.micro.stalls[StallReason::SynapseWait] = r.micro.laneIdleCycles;
     r.energy.sbReads += bytes / 32; // 16-synapse (32-byte) fetches
     r.energy.multOps += static_cast<std::uint64_t>(
         static_cast<double>(node.fc.macs(node.inShape)) * nzFrac);
@@ -236,7 +237,7 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Dataflow df,
             // Exposed load time: every lane waits on the stream.
             loadStall.micro.laneIdleCycles =
                 loadStall.cycles * static_cast<std::uint64_t>(cfg.lanes);
-            loadStall.micro.stalls.synapseWait =
+            loadStall.micro.stalls[StallReason::SynapseWait] =
                 loadStall.micro.laneIdleCycles;
             // Synapse traffic goes through the DRAM channel; its
             // wait time is already modelled by the OverlapTracker,
@@ -308,7 +309,7 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Dataflow df,
                     spill.micro.laneIdleCycles =
                         spill.cycles *
                         static_cast<std::uint64_t>(cfg.lanes);
-                    spill.micro.stalls.dramWait =
+                    spill.micro.stalls[StallReason::DramWait] =
                         spill.micro.laneIdleCycles;
                     if (spill.cycles > 0) {
                         result.layers.push_back(spill);

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "arch/registry.h"
 #include "driver/stats_report.h"
+#include "driver/trace_pipeline.h"
 #include "nn/zoo/zoo.h"
 #include "timing/network_model.h"
 
@@ -72,13 +74,15 @@ TEST(StatsReport, PerLayerGroupsExist)
 {
     const auto run = sampleRun(cnvModel());
     const auto stats = driver::buildStats(run, cnvModel());
-    // First layer entry is addressable and sums match.
+    // Every layer entry is addressable by its stat key and the
+    // per-layer cycles sum to the run's.
     double layerCycles = 0.0;
-    stats->visit([&](const std::string &name, const sim::Stat &s) {
-        if (name.find("layers.") != std::string::npos &&
-            name.rfind(".cycles") == name.size() - 7)
-            layerCycles += s.value();
-    });
+    for (std::size_t i = 0; i < run.layers.size(); ++i) {
+        layerCycles += stats->get(
+            "layers." +
+            driver::layerStatKey(static_cast<int>(i), run.layers[i].name) +
+            ".cycles");
+    }
     EXPECT_DOUBLE_EQ(layerCycles,
                      static_cast<double>(run.totalCycles()));
 }

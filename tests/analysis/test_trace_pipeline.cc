@@ -1,30 +1,35 @@
 /**
  * @file
- * Network-level trace/stall pipeline: buildStallProfile's totals
- * must equal the run's idle lane-cycles on both architectures (the
- * attribution invariant the whole stalls feature rests on), the
- * appendNetworkTrace events must fold back to the same numbers on
- * well-formed, non-overlapping tracks, and the stall breakdown must
- * surface in the cnv-report-v1 document.
+ * Network-level trace/stall pipeline: the stall vocabulary is
+ * stable, each run's StallBreakdown totals equal its idle
+ * lane-cycles on both architectures (the attribution invariant the
+ * whole stalls feature rests on), the appendNetworkTrace stall spans
+ * sum back to the same numbers on well-formed, non-overlapping
+ * tracks, writeStallCsv emits the pinned sparse CSV, and the stall
+ * breakdown surfaces in the cnv-report-v1 document.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "driver/stats_report.h"
 #include "driver/trace_pipeline.h"
+#include "mem/memory_model.h"
 #include "nn/network.h"
-#include "sim/stall_profile.h"
 #include "support/json_parser.h"
 #include "timing/network_model.h"
 
 namespace {
 
 using namespace cnv;
+using dadiannao::StallReason;
 using testsupport::Json;
 using testsupport::Parser;
 
@@ -47,13 +52,38 @@ makeNetwork()
 }
 
 dadiannao::NetworkResult
-runArch(timing::Dataflow df)
+runArch(timing::Dataflow df, mem::Kind memKind = mem::Kind::Ideal)
 {
     const nn::Network net = makeNetwork();
     const dadiannao::NodeConfig cfg;
     timing::RunOptions opts;
     opts.imageSeed = 3;
+    opts.memKind = memKind;
     return timing::simulateNetwork(cfg, net, df, opts);
+}
+
+/** A hand-built run: one layer per entry, with the given stalls. */
+dadiannao::NetworkResult
+resultWithStalls(
+    const std::vector<std::pair<std::string, dadiannao::StallBreakdown>>
+        &layers)
+{
+    dadiannao::NetworkResult r;
+    for (const auto &[name, stalls] : layers) {
+        dadiannao::LayerResult l;
+        l.name = name;
+        l.micro.stalls = stalls;
+        r.layers.push_back(l);
+    }
+    return r;
+}
+
+dadiannao::StallBreakdown
+oneStall(StallReason r, std::uint64_t cycles)
+{
+    dadiannao::StallBreakdown s;
+    s[r] = cycles;
+    return s;
 }
 
 TEST(TracePipeline, LayerStatKeysAreStableAndPathSafe)
@@ -62,13 +92,47 @@ TEST(TracePipeline, LayerStatKeysAreStableAndPathSafe)
     EXPECT_EQ(driver::layerStatKey(3, "inception.3a"), "L3_inception_3a");
 }
 
-TEST(TracePipeline, StallProfileTotalsMatchIdleCyclesOnBothArchs)
+TEST(TracePipeline, StallReasonNamesAreStable)
+{
+    // The names are the report stat keys, stall-CSV cells and trace
+    // span names: renaming one changes every downstream document.
+    const char *const names[] = {
+        "brick_buffer_empty", "window_barrier", "synapse_wait",
+        "slice_drained",      "nm_bank_conflict", "gb_miss",
+        "dram_wait"};
+    static_assert(std::size(names) == dadiannao::kStallReasonCount);
+    for (std::size_t i = 0; i < dadiannao::kStallReasonCount; ++i) {
+        const dadiannao::StallReasonInfo &info = dadiannao::kStallReasons[i];
+        EXPECT_EQ(static_cast<std::size_t>(info.reason), i);
+        EXPECT_STREQ(info.name, names[i]);
+        EXPECT_NE(std::string(info.desc), "") << info.name;
+        // Only the three banked-hierarchy reasons are memory stalls.
+        EXPECT_EQ(dadiannao::isMemoryStall(info.reason), i >= 4)
+            << info.name;
+    }
+}
+
+TEST(TracePipeline, StallBreakdownIsIndexedByReason)
+{
+    dadiannao::StallBreakdown a;
+    a[StallReason::WindowBarrier] = 10;
+    a[StallReason::SynapseWait] += 5;
+    dadiannao::StallBreakdown b = oneStall(StallReason::WindowBarrier, 3);
+    b[StallReason::DramWait] = 2;
+    a += b;
+    EXPECT_EQ(a[StallReason::WindowBarrier], 13u);
+    EXPECT_EQ(a[StallReason::SynapseWait], 5u);
+    EXPECT_EQ(a[StallReason::DramWait], 2u);
+    EXPECT_EQ(a[StallReason::BrickBufferEmpty], 0u);
+    EXPECT_EQ(a.total(), 20u);
+}
+
+TEST(TracePipeline, StallTotalsMatchIdleCyclesOnBothArchs)
 {
     for (bool encoded : {true, false}) {
         const auto result = runArch({.encoded = encoded});
-        const sim::StallProfile profile = driver::buildStallProfile(result);
-        EXPECT_EQ(profile.totalIdle(),
-                  result.totalMicro().laneIdleCycles)
+        const auto micro = result.totalMicro();
+        EXPECT_EQ(micro.stalls.total(), micro.laneIdleCycles)
             << "encoded=" << encoded;
 
         // The invariant holds layer by layer, not just in aggregate.
@@ -83,7 +147,7 @@ TEST(TracePipeline, StallProfileTotalsMatchIdleCyclesOnBothArchs)
     }
 }
 
-TEST(TracePipeline, NetworkTraceFoldsBackToTheProfile)
+TEST(TracePipeline, NetworkTraceStallSpansSumToIdleCycles)
 {
     const auto cnv = runArch({.encoded = true});
     const auto base = runArch({});
@@ -92,16 +156,6 @@ TEST(TracePipeline, NetworkTraceFoldsBackToTheProfile)
     driver::appendNetworkTrace(sink, cnv, 1, "cnv (tiny2)");
     driver::appendNetworkTrace(sink, base, 2, "dadiannao (tiny2)");
     EXPECT_EQ(sink.droppedEvents(), 0u);
-
-    sim::StallProfile cnvFold, baseFold;
-    EXPECT_EQ(cnvFold.addFromTrace(sink, 1), 0u);
-    EXPECT_EQ(baseFold.addFromTrace(sink, 2), 0u);
-    EXPECT_EQ(cnvFold.totalIdle(), cnv.totalMicro().laneIdleCycles);
-    EXPECT_EQ(baseFold.totalIdle(), base.totalMicro().laneIdleCycles);
-
-    // A CNV run on a half-zero input must actually report stalls
-    // (the invariant would also hold trivially at zero).
-    EXPECT_GT(cnvFold.totalIdle(), 0u);
 
     // The document is valid trace JSON in the cycle clock domain,
     // with one process per arch, layer spans on tid 0 and stall
@@ -112,6 +166,7 @@ TEST(TracePipeline, NetworkTraceFoldsBackToTheProfile)
     Json doc = Parser(os.str()).parse();
     EXPECT_EQ(doc.at("metadata").at("clockDomain").text, "cycles");
     std::map<std::pair<double, double>, double> trackEnd;
+    std::map<double, double> stallLaneCycles; // per pid
     bool sawLayerSpan = false, sawKeyedStall = false;
     for (const Json &e : doc.at("traceEvents").array) {
         if (e.at("ph").text != "X")
@@ -130,12 +185,88 @@ TEST(TracePipeline, NetworkTraceFoldsBackToTheProfile)
         end->second = ts + dur;
         if (e.at("cat").text == "layer" && e.at("tid").number == 0.0)
             sawLayerSpan = true;
-        if (e.at("cat").text == "stall")
+        if (e.at("cat").text == "stall") {
             sawKeyedStall |=
                 e.at("args").at("layer").text.rfind("L", 0) == 0;
+            // One track per reason, tid 1 + the reason's index.
+            const auto reason =
+                static_cast<std::size_t>(e.at("tid").number) - 1;
+            ASSERT_LT(reason, dadiannao::kStallReasonCount);
+            EXPECT_EQ(e.at("name").text,
+                      dadiannao::kStallReasons[reason].name);
+            stallLaneCycles[track.first] +=
+                e.at("args").at("laneCycles").number;
+        }
     }
     EXPECT_TRUE(sawLayerSpan);
     EXPECT_TRUE(sawKeyedStall);
+
+    // The spans' laneCycles fold back to every idle lane-cycle the
+    // run reported, per process.
+    EXPECT_EQ(stallLaneCycles[1],
+              static_cast<double>(cnv.totalMicro().laneIdleCycles));
+    EXPECT_EQ(stallLaneCycles[2],
+              static_cast<double>(base.totalMicro().laneIdleCycles));
+    // A CNV run on a half-zero input must actually report stalls
+    // (the invariant would also hold trivially at zero).
+    EXPECT_GT(stallLaneCycles[1], 0.0);
+}
+
+TEST(TracePipeline, StallCsvMatchesPinnedBytes)
+{
+    // The stall CSV is a documented file format: header, sparse rows,
+    // layer keys and reason names are pinned byte for byte, for the
+    // ideal and the banked memory model.
+    const char *const golden =
+        "scope,layer,reason,idleLaneCycles\n"
+        "dadiannao,L0_c1:synapse-load,synapse_wait,144\n"
+        "cnv,L0_c1:synapse-load,synapse_wait,144\n"
+        "cnv,L2_c2,window_barrier,2039\n";
+    for (mem::Kind kind : {mem::Kind::Ideal, mem::Kind::Banked}) {
+        std::ostringstream os;
+        driver::writeStallCsv(os, runArch({}, kind), "dadiannao");
+        driver::writeStallCsv(os, runArch({.encoded = true}, kind), "cnv",
+                              /*header=*/false);
+        EXPECT_EQ(os.str(), golden) << mem::kindName(kind);
+    }
+}
+
+TEST(TracePipeline, StallCsvIsSparseWithOptionalScope)
+{
+    const auto result = resultWithStalls(
+        {{"c1", oneStall(StallReason::WindowBarrier, 10)},
+         {"pool", {}},
+         {"c2", oneStall(StallReason::SynapseWait, 5)}});
+
+    std::ostringstream plain;
+    driver::writeStallCsv(plain, result);
+    EXPECT_EQ(plain.str(),
+              "layer,reason,idleLaneCycles\n"
+              "L0_c1,window_barrier,10\n"
+              "L2_c2,synapse_wait,5\n");
+
+    // A scope becomes a leading column; the header is optional so
+    // several runs can merge into one file.
+    std::ostringstream scoped;
+    driver::writeStallCsv(scoped, result, "cnv");
+    driver::writeStallCsv(scoped, result, "dadiannao", /*header=*/false);
+    EXPECT_EQ(scoped.str(),
+              "scope,layer,reason,idleLaneCycles\n"
+              "cnv,L0_c1,window_barrier,10\n"
+              "cnv,L2_c2,synapse_wait,5\n"
+              "dadiannao,L0_c1,window_barrier,10\n"
+              "dadiannao,L2_c2,synapse_wait,5\n");
+}
+
+TEST(TracePipeline, StallCsvQuotesFieldsPerRfc4180)
+{
+    const auto result = resultWithStalls(
+        {{"a,b", oneStall(StallReason::GbMiss, 7)},
+         {"say \"hi\"", oneStall(StallReason::DramWait, 1)}});
+    std::ostringstream os;
+    driver::writeStallCsv(os, result, "x,y", /*header=*/false);
+    EXPECT_EQ(os.str(), "\"x,y\",\"L0_a,b\",gb_miss,7\n"
+                        "\"x,y\",\"L1_say \"\"hi\"\"\",dram_wait,1\n");
 }
 
 TEST(TracePipeline, ReportJsonCarriesPerLayerStallBreakdown)

@@ -44,19 +44,6 @@ TEST(Stats, FormulaComputesFromOtherStats)
     EXPECT_DOUBLE_EQ(g.get("ipc"), 2.5);
 }
 
-TEST(Stats, DistributionTracksMoments)
-{
-    StatGroup g("top");
-    Distribution &d = g.addDistribution("lat", "latency");
-    for (double x : {1.0, 2.0, 3.0, 4.0})
-        d.sample(x);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
-    EXPECT_NEAR(d.stddev(), 1.29099, 1e-4);
-}
-
 TEST(Stats, NestedGroupsAndPathLookup)
 {
     StatGroup root("node");
@@ -85,19 +72,6 @@ TEST(Stats, DuplicateNameIsFatal)
     setVerbosity(Verbosity::Info);
 }
 
-TEST(Stats, ResetAllClearsEverything)
-{
-    StatGroup root("node");
-    Counter &c = root.addCounter("c", "c");
-    StatGroup &sub = root.addGroup("sub");
-    Scalar &s = sub.addScalar("s", "s");
-    c += 7;
-    s = 3.0;
-    root.resetAll();
-    EXPECT_EQ(c.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
 TEST(Stats, DumpContainsNamesValuesAndDescriptions)
 {
     StatGroup root("node");
@@ -109,19 +83,6 @@ TEST(Stats, DumpContainsNamesValuesAndDescriptions)
     EXPECT_NE(out.find("node.cycles"), std::string::npos);
     EXPECT_NE(out.find("42"), std::string::npos);
     EXPECT_NE(out.find("total cycles"), std::string::npos);
-}
-
-TEST(Stats, VisitWalksAllStats)
-{
-    StatGroup root("node");
-    root.addCounter("a", "a");
-    root.addGroup("g").addCounter("b", "b");
-    int visited = 0;
-    root.visit([&](const std::string &name, const Stat &) {
-        ++visited;
-        EXPECT_EQ(name.rfind("node.", 0), 0u);
-    });
-    EXPECT_EQ(visited, 2);
 }
 
 } // namespace

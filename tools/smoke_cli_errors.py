@@ -33,6 +33,9 @@ With ``--bench BENCH`` a bench binary's shared argument parser
   * trailing junk (--jobs 2x)   -> exit 2, diagnostic on stderr
   * zero --jobs            -> exit 2, diagnostic on stderr
   * bad --mem value        -> exit 2, diagnostic on stderr
+  * zero/negative --images -> exit 2, diagnostic on stderr
+  * empty --json/--trace-out path
+                           -> exit 2, diagnostic on stderr
 
 Usage: smoke_cli_errors.py CNVSIM [--bench BENCH]
 """
@@ -155,7 +158,15 @@ def main(argv: list[str]) -> int:
         expect("bench bad --mem value",
                run(bench, "--mem", "bogus"),
                2, ["invalid value", "--mem"])
-        cases += 6
+        for value in ("0", "-2"):
+            expect(f"bench --images {value}",
+                   run(bench, f"--images={value}"),
+                   2, ["invalid numeric value", "--images", value])
+        for flag in ("--json", "--trace-out"):
+            expect(f"bench empty {flag} path",
+                   run(bench, f"{flag}="),
+                   2, ["invalid value", flag])
+        cases += 10
 
     for p in problems:
         print(f"smoke_cli_errors: {p}", file=sys.stderr)

@@ -20,6 +20,11 @@ workers); and a one-image vgg19 run over dadiannao/cnv/cnv2,
 where the (arch x image) grid is only three tasks and nearly all the
 parallelism is the cache warm's fan-out across conv layers.
 
+A fourth pair runs ``cnvsim trace`` on nin over every built-in
+architecture under ``--mem banked`` and requires the ``--trace-out``
+trace-event JSON and the ``--stall-csv`` file to be byte-identical
+outright (neither carries host telemetry).
+
 The JSON writer emits one key per line, so dropping the brace-
 balanced ``hostProfile`` block and then filtering whole lines
 containing the two volatile keys is exact, not heuristic. (String
@@ -109,6 +114,40 @@ def compare_pair(cnvsim: str, outdir: pathlib.Path, label: str,
     return 0
 
 
+def compare_trace_pair(cnvsim: str, outdir: pathlib.Path) -> int:
+    """Run ``cnvsim trace`` at --jobs 1 and 4; 0 when identical."""
+    outputs = {}
+    for jobs in (1, 4):
+        trace = outdir / f"trace-jobs{jobs}.json"
+        stalls = outdir / f"stalls-jobs{jobs}.csv"
+        proc = subprocess.run(
+            [cnvsim, "trace", "nin", "--arch", ALL_ARCHS,
+             "--mem", "banked", "--seed", "2016", "--jobs", str(jobs),
+             "--trace-out", str(trace), "--stall-csv", str(stalls)],
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"smoke_determinism: trace --jobs {jobs} failed "
+                  f"(exit {proc.returncode}): {proc.stderr}",
+                  file=sys.stderr)
+            return 1
+        outputs[jobs] = (trace.read_bytes(), stalls.read_bytes())
+
+    failures = 0
+    if outputs[1][1].count(b"\n") < 2:
+        print("smoke_determinism: trace: stall CSV has no data rows",
+              file=sys.stderr)
+        failures += 1
+    for index, what in enumerate(("trace JSON", "stall CSV")):
+        if outputs[1][index] != outputs[4][index]:
+            print(f"smoke_determinism: trace: {what} differs between "
+                  "--jobs 1 and --jobs 4", file=sys.stderr)
+            failures += 1
+    if failures == 0:
+        print("smoke_determinism: trace: trace JSON and stall CSV "
+              "byte-identical between --jobs 1 and --jobs 4")
+    return failures
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -124,6 +163,7 @@ def main(argv: list[str]) -> int:
     failures += compare_pair(
         cnvsim, outdir, "vgg19", "vgg19", 1,
         ["--arch", "dadiannao,cnv,cnv2"])
+    failures += compare_trace_pair(cnvsim, outdir)
     return 1 if failures else 0
 
 
