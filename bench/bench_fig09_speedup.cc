@@ -9,6 +9,7 @@
  */
 
 #include <fstream>
+#include <optional>
 
 #include "arch/registry.h"
 #include "common.h"
@@ -89,7 +90,12 @@ main(int argc, char **argv)
     double sumPlain = 0.0, sumCnv2 = 0.0, sumPruned = 0.0;
     double sumBankedOvh = 0.0;
     for (auto id : nn::zoo::allNetworks()) {
+        // Host phases (hostProfile.phases): each network is built,
+        // evaluated, then reported; emplace() closes the previous one.
+        std::optional<sim::ScopedPhase> phase;
+        phase.emplace("build");
         const auto net = nn::zoo::build(id, cfg.seed);
+        phase.emplace("evaluate");
         const auto plain = driver::evaluateNetworkArchs(
             cfg, *net, threeArchs, nullptr, &cache);
         const double cnv2Speedup = plain.speedupOf("dadiannao", "cnv2");
@@ -139,6 +145,7 @@ main(int argc, char **argv)
             pruned = prunedReport.speedup();
         }
 
+        phase.emplace("report");
         sumPlain += plain.speedup();
         sumCnv2 += cnv2Speedup;
         sumPruned += pruned;
@@ -174,6 +181,8 @@ main(int argc, char **argv)
         g.addScalar("paperPrunedSpeedup", "paper's Table II speedup") =
             paperCnvPruned(id);
     }
+    std::optional<sim::ScopedPhase> phase;
+    phase.emplace("report");
     t.addRow({"average", sim::Table::num(sumPlain / 6), "1.37",
               sim::Table::num(sumCnv2 / 6),
               sim::Table::num(sumBankedOvh / 6),
@@ -191,6 +200,7 @@ main(int argc, char **argv)
                       "arithmetic mean of CNV+Pruning speedups") =
             sumPruned / 6;
     bench::emit(opts, "Figure 9: speedup of CNV over the baseline", t);
+    phase.reset();
     bench::writeFigureArtifact(opts, "fig09_speedup", cfg.node, fig);
     if (!opts.traceOut.empty()) {
         std::ofstream os(opts.traceOut);

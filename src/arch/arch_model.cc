@@ -28,6 +28,18 @@ ArchModel::otherTiming(const dadiannao::NodeConfig &cfg,
     return dadiannao::otherLayerTiming(cfg, node, overlap);
 }
 
+timing::CountLookup
+ArchModel::countLookup(const dadiannao::NodeConfig &base,
+                       const nn::Network &,
+                       const timing::RunOptions &opts) const
+{
+    timing::CountLookup lookup;
+    lookup.brickSize = nodeConfig(base).brickSize;
+    if (opts.prune != nullptr)
+        lookup.prune = *opts.prune;
+    return lookup;
+}
+
 mem::Geometry
 ArchModel::memGeometry(const dadiannao::NodeConfig &cfg) const
 {
@@ -116,20 +128,23 @@ class BuiltinModel : public ArchModel
     {
         const dadiannao::NodeConfig cfg = nodeConfig(base);
         validateNode(cfg);
-        timing::RunOptions run = opts;
+        nn::PruneConfig defaults;
+        timing::RunOptions run = withDefaultPrune(net, opts, defaults);
         if (run.memKind != mem::Kind::Ideal && run.memGeometry.banks == 0)
             run.memGeometry = memGeometry(cfg);
-        nn::PruneConfig defaults;
-        if (spec_.defaultPrune && run.prune == nullptr) {
-            defaults.thresholds.assign(
-                static_cast<std::size_t>(net.convLayerCount()),
-                kDefaultPruneThreshold);
-            run.prune = &defaults;
-        }
         dadiannao::NetworkResult result =
             timing::simulateNetwork(cfg, net, spec_.dataflow, run);
         result.architecture = spec_.id;
         return result;
+    }
+
+    timing::CountLookup
+    countLookup(const dadiannao::NodeConfig &base, const nn::Network &net,
+                const timing::RunOptions &opts) const override
+    {
+        nn::PruneConfig defaults;
+        return timing::countLookup(nodeConfig(base), spec_.dataflow,
+                                   withDefaultPrune(net, opts, defaults));
     }
 
     dadiannao::LayerResult
@@ -168,6 +183,22 @@ class BuiltinModel : public ArchModel
     }
 
   private:
+    /** `opts`, with the default thresholds (kept in `defaults`) when
+     *  this model prunes by default and the run supplies none. */
+    timing::RunOptions
+    withDefaultPrune(const nn::Network &net, const timing::RunOptions &opts,
+                     nn::PruneConfig &defaults) const
+    {
+        timing::RunOptions run = opts;
+        if (spec_.defaultPrune && run.prune == nullptr) {
+            defaults.thresholds.assign(
+                static_cast<std::size_t>(net.convLayerCount()),
+                kDefaultPruneThreshold);
+            run.prune = &defaults;
+        }
+        return run;
+    }
+
     BuiltinSpec spec_;
 };
 

@@ -85,6 +85,18 @@ class ArchModel
                     const timing::RunOptions &opts) const = 0;
 
     /**
+     * The count-map lookup simulateNetwork(base, net, opts) makes for
+     * every conv layer, so a sweep can warm its trace cache with
+     * exactly what its runs read (driver::warmTraceCache). The
+     * default counts at nodeConfig(base)'s brick size with
+     * opts.prune as given; models that resolve the prune config
+     * themselves override it.
+     */
+    virtual timing::CountLookup
+    countLookup(const dadiannao::NodeConfig &base, const nn::Network &net,
+                const timing::RunOptions &opts) const;
+
+    /**
      * Conv-layer timing entry point wrapping the closed-form
      * convBaseline/convCnv models (per-layer mode selection
      * included). `cfg` must already be variant-adjusted.

@@ -36,6 +36,33 @@ NetworkReport::speedupOf(std::string_view baseId,
            static_cast<double>(arch(overId).cycles);
 }
 
+timing::RunOptions
+runOptions(const ExperimentConfig &cfg, const nn::PruneConfig *prune,
+           std::uint64_t imageSeed, timing::TraceCache *cache)
+{
+    timing::RunOptions opts;
+    opts.imageSeed = imageSeed;
+    opts.prune = prune;
+    opts.cache = cache;
+    opts.weightSparsity = cfg.weightSparsity;
+    opts.memKind = cfg.memKind;
+    return opts;
+}
+
+void
+warmTraceCache(timing::TraceCache &cache, const ExperimentConfig &cfg,
+               const nn::Network &net,
+               const std::vector<const arch::ArchModel *> &archs,
+               const nn::PruneConfig *prune,
+               const std::vector<std::uint64_t> &imageSeeds)
+{
+    const timing::RunOptions opts = runOptions(cfg, prune, cfg.seed, &cache);
+    std::vector<timing::CountLookup> lookups;
+    for (const arch::ArchModel *model : archs)
+        lookups.push_back(model->countLookup(cfg.node, net, opts));
+    cache.warm(net, imageSeeds, nullptr, lookups);
+}
+
 NetworkReport
 evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
                      const std::vector<const arch::ArchModel *> &archs,
@@ -59,28 +86,22 @@ evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
 
     // Every run walks the layers in the same order, so without the
     // warm-up the grid's lanes would queue on one layer's synthesis
-    // at a time; warming fans the (layer x image) tensors out first.
+    // at a time; warming fans the (layer x image) syntheses out first.
     const auto images = static_cast<std::size_t>(cfg.images);
     std::vector<std::uint64_t> seeds;
     for (std::size_t i = 0; i < images; ++i)
         seeds.push_back(cfg.seed + static_cast<std::uint64_t>(i));
     sim::metrics().beginProgress(net.name(), archs.size() * images);
-    shared->warm(net, seeds, nullptr);
+    warmTraceCache(*shared, cfg, net, archs, prune, seeds);
 
     // Flattened (arch x image) grid; the ordered commit makes the
     // per-arch accumulation order identical to the old serial loop.
     sim::parallelMapReduce(
         archs.size() * images,
         [&](std::size_t g) {
-            const arch::ArchModel *model = archs[g / images];
-            timing::RunOptions opts;
-            opts.imageSeed =
-                cfg.seed + static_cast<std::uint64_t>(g % images);
-            opts.prune = prune;
-            opts.cache = shared;
-            opts.weightSparsity = cfg.weightSparsity;
-            opts.memKind = cfg.memKind;
-            auto run = model->simulateNetwork(cfg.node, net, opts);
+            auto run = archs[g / images]->simulateNetwork(
+                cfg.node, net, runOptions(cfg, prune, seeds[g % images],
+                                          shared));
             sim::metrics().tickProgress();
             return run;
         },

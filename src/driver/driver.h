@@ -92,6 +92,27 @@ struct NetworkReport
 };
 
 /**
+ * The options of one (arch x image) run of an experiment: `cfg`'s
+ * weight sparsity and memory model, `prune`, and the shared `cache`.
+ */
+timing::RunOptions runOptions(const ExperimentConfig &cfg,
+                              const nn::PruneConfig *prune,
+                              std::uint64_t imageSeed,
+                              timing::TraceCache *cache);
+
+/**
+ * Fill `cache` ahead of the (archs x imageSeeds) runs of `net`: each
+ * model's count-map lookup (arch::ArchModel::countLookup), and the
+ * value tensors when one of them needs values, so none of the runs
+ * synthesizes (timing::TraceCache::warm).
+ */
+void warmTraceCache(timing::TraceCache &cache, const ExperimentConfig &cfg,
+                    const nn::Network &net,
+                    const std::vector<const arch::ArchModel *> &archs,
+                    const nn::PruneConfig *prune,
+                    const std::vector<std::uint64_t> &imageSeeds);
+
+/**
  * Run `cfg.images` traces of a network through every selected
  * architecture model (optionally with dynamic pruning; the models
  * decide whether to honour it). The (arch x image) grid fans out

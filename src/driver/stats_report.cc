@@ -200,18 +200,13 @@ simulateTimelines(const ExperimentConfig &cfg, const nn::Network &net,
                   const std::vector<const arch::ArchModel *> &archs,
                   const nn::PruneConfig *prune, timing::TraceCache &cache)
 {
-    cache.warm(net, {cfg.seed}, nullptr);
+    warmTraceCache(cache, cfg, net, archs, prune, {cfg.seed});
     std::vector<ArchTimeline> timelines(archs.size());
     sim::parallelMapReduce(
         archs.size(),
         [&](std::size_t a) {
-            timing::RunOptions opts;
-            opts.imageSeed = cfg.seed;
-            opts.prune = prune;
-            opts.cache = &cache;
-            opts.weightSparsity = cfg.weightSparsity;
-            opts.memKind = cfg.memKind;
-            return archs[a]->simulateNetwork(cfg.node, net, opts);
+            return archs[a]->simulateNetwork(
+                cfg.node, net, runOptions(cfg, prune, cfg.seed, &cache));
         },
         [&](std::size_t a, dadiannao::NetworkResult &&result) {
             timelines[a] = {archs[a], std::move(result)};

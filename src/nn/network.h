@@ -15,6 +15,7 @@
 #ifndef CNV_NN_NETWORK_H
 #define CNV_NN_NETWORK_H
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,6 +42,14 @@ struct PruneConfig
     forConvIndex(std::size_t i) const
     {
         return i < thresholds.size() ? thresholds[i] : 0;
+    }
+
+    /** Whether any threshold zeroes a non-zero value (is positive). */
+    bool
+    prunesValues() const
+    {
+        return std::any_of(thresholds.begin(), thresholds.end(),
+                           [](std::int32_t t) { return t > 0; });
     }
 };
 

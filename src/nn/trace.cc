@@ -10,6 +10,7 @@ namespace cnv::nn {
 using tensor::Fixed16;
 using tensor::NeuronTensor;
 using tensor::Shape3;
+using CountMap = tensor::Tensor3<std::uint8_t>;
 
 namespace {
 
@@ -48,8 +49,9 @@ class SpatialField
 };
 
 /**
- * Synthesise the depth range [zBase, zBase + depth) of `out` with the
- * model's statistics, zeroing magnitudes below `threshold` (0: none).
+ * The zero pattern of one synthesised depth range: per-channel
+ * firing-rate multipliers and a coarse spatial field, normalised so
+ * the mean activity probability matches the model's target.
  *
  * Only the per-pixel spatial factor and the per-channel rate are
  * kept, not an 8-byte probability per element: each activity
@@ -59,80 +61,182 @@ class SpatialField
  * contracts these products into FMAs (CMakeLists.txt), which keeps
  * them identical across hosts too.
  */
+class ActivityPattern
+{
+  public:
+    /** Draws the rates and the field from `rng` (neither when the
+     *  target is all-zero or dense). */
+    ActivityPattern(Shape3 shape, int depth, const SparsityModel &model,
+                    sim::Rng &rng)
+        : pixels_(static_cast<std::size_t>(shape.x) * shape.y),
+          depth_(depth),
+          active_(1.0 - std::clamp(model.zeroFraction, 0.0, 1.0))
+    {
+        if (active_ <= 0.0 || active_ >= 1.0)
+            return;
+        channelRate_.resize(static_cast<std::size_t>(depth));
+        for (double &r : channelRate_)
+            r = std::exp(rng.normal(0.0, model.channelDispersion));
+        const int grid = std::max(2, model.spatialGrid);
+        const SpatialField field(grid, model.spatialDispersion, rng);
+
+        spatial_.resize(pixels_);
+        for (int y = 0; y < shape.y; ++y) {
+            const double v = shape.y > 1
+                ? static_cast<double>(y) / (shape.y - 1) : 0.5;
+            for (int x = 0; x < shape.x; ++x) {
+                const double u = shape.x > 1
+                    ? static_cast<double>(x) / (shape.x - 1) : 0.5;
+                spatial_[static_cast<std::size_t>(y) * shape.x + x] =
+                    field.at(u, v);
+            }
+        }
+
+        // Clamping each probability to [0,1] shifts the mean, so the
+        // normalisation iterates a few times.
+        for (int iter = 0; iter < 4; ++iter) {
+            double mean = 0.0;
+            for (const double s : spatial_)
+                for (const double rate : channelRate_)
+                    mean += std::min(1.0, s * rate * scale_ * active_);
+            mean /= static_cast<double>(pixels_ * channelRate_.size());
+            if (mean <= 0.0)
+                break;
+            scale_ *= active_ / mean;
+        }
+    }
+
+    /**
+     * Draw the pattern in storage order (pixel-major, depth
+     * fastest), calling onNonZero(pixel, z) for each active element
+     * right after its Bernoulli draw. The callback makes the
+     * element's value draw on the same `rng`, so every consumer of
+     * the pattern sees the same stream.
+     */
+    template <typename OnNonZero>
+    void
+    draw(sim::Rng &rng, OnNonZero &&onNonZero) const
+    {
+        if (active_ <= 0.0)
+            return;
+        for (std::size_t p = 0; p < pixels_; ++p) {
+            for (int z = 0; z < depth_; ++z) {
+                if (active_ >= 1.0 ||
+                    rng.bernoulli(std::min(1.0, spatial_[p] *
+                                                    channelRate_[z] *
+                                                    scale_ * active_)))
+                    onNonZero(p, z);
+            }
+        }
+    }
+
+  private:
+    std::size_t pixels_;
+    int depth_;
+    double active_;
+    double scale_ = 1.0;
+    std::vector<double> channelRate_;
+    std::vector<double> spatial_;
+};
+
+/**
+ * Synthesise the depth range [zBase, zBase + depth) of `out` (which
+ * starts all-zero) with the model's statistics, zeroing magnitudes
+ * below `threshold` (0: none).
+ */
 void
 synthesizeInto(NeuronTensor &out, int zBase, int depth,
                const SparsityModel &model, sim::Rng &rng,
                std::int32_t threshold)
 {
-    const Shape3 shape = out.shape();
-    const std::size_t pixels = static_cast<std::size_t>(shape.x) * shape.y;
-    const std::size_t stride = static_cast<std::size_t>(shape.z);
+    const ActivityPattern pattern(out.shape(), depth, model, rng);
+    const std::size_t stride = static_cast<std::size_t>(out.shape().z);
     Fixed16 *const base = out.data() + zBase;
     // A non-zero post-ReLU magnitude in raw units, then the prune.
     const double mu = std::log(model.valueScaleRaw) -
                       0.5 * model.valueSigma * model.valueSigma;
-    auto draw = [&] {
+    pattern.draw(rng, [&](std::size_t p, int z) {
         const double raw = std::clamp(
             std::exp(rng.normal(mu, model.valueSigma)), 1.0, 32767.0);
         const Fixed16 v =
             Fixed16::fromRaw(static_cast<std::int16_t>(std::lround(raw)));
-        return threshold > 0 && v.rawAbs() < threshold ? Fixed16{} : v;
-    };
+        if (threshold <= 0 || v.rawAbs() >= threshold)
+            base[p * stride + z] = v;
+    });
+}
 
-    const double active = 1.0 - std::clamp(model.zeroFraction, 0.0, 1.0);
-    if (active <= 0.0) {
-        for (std::size_t p = 0; p < pixels; ++p)
-            std::fill_n(base + p * stride, depth, Fixed16{});
-        return;
-    }
-    if (active >= 1.0) {
-        for (std::size_t p = 0; p < pixels; ++p)
-            for (int z = 0; z < depth; ++z)
-                base[p * stride + z] = draw();
-        return;
-    }
+/**
+ * synthesizeInto without a threshold, keeping only the count of
+ * non-zero elements per brick of `counts` (which starts all-zero).
+ * Every drawn value is clamped to >= 1 raw unit, so an element is
+ * non-zero exactly when its Bernoulli draw succeeds; the value draw
+ * itself only has to advance the stream.
+ */
+void
+countInto(CountMap &counts, Shape3 shape, int zBase, int depth,
+          int brickSize, const SparsityModel &model, sim::Rng &rng)
+{
+    const ActivityPattern pattern(shape, depth, model, rng);
+    std::vector<std::size_t> brickOf(static_cast<std::size_t>(depth));
+    for (int z = 0; z < depth; ++z)
+        brickOf[static_cast<std::size_t>(z)] =
+            static_cast<std::size_t>((zBase + z) / brickSize);
+    const std::size_t bricks = static_cast<std::size_t>(counts.shape().z);
+    std::uint8_t *const base = counts.data();
+    pattern.draw(rng, [&](std::size_t p, int z) {
+        rng.skipNormal();
+        ++base[p * bricks + brickOf[static_cast<std::size_t>(z)]];
+    });
+}
 
-    // Per-channel firing-rate multipliers and a coarse spatial field.
-    std::vector<double> channelRate(depth);
-    for (double &r : channelRate)
-        r = std::exp(rng.normal(0.0, model.channelDispersion));
-    const int grid = std::max(2, model.spatialGrid);
-    const SpatialField field(grid, model.spatialDispersion, rng);
+/** One producer segment of a conv input, ready to synthesise. */
+struct SegmentSource
+{
+    int zBase = 0;
+    int depth = 0;
+    SparsityModel model;
+    /** Independent stream per (image, conv layer, segment). */
+    sim::Rng rng;
+    /** The producer's prune threshold (0: none). */
+    std::int32_t threshold = 0;
+};
 
-    std::vector<double> spatial(pixels);
-    for (int y = 0; y < shape.y; ++y) {
-        const double v = shape.y > 1
-            ? static_cast<double>(y) / (shape.y - 1) : 0.5;
-        for (int x = 0; x < shape.x; ++x) {
-            const double u = shape.x > 1
-                ? static_cast<double>(x) / (shape.x - 1) : 0.5;
-            spatial[static_cast<std::size_t>(y) * shape.x + x] =
-                field.at(u, v);
+/** The segments synthesizeConvInput fills, in depth order. */
+std::vector<SegmentSource>
+segmentSources(const Network &net, int convNodeId, std::uint64_t imageSeed,
+               const PruneConfig *prune)
+{
+    const Node &conv = net.node(convNodeId);
+    CNV_ASSERT(conv.kind == NodeKind::Conv, "synthesizeConvInput needs conv");
+    const std::vector<TraceSegment> segments = inputSegments(net, convNodeId);
+
+    std::vector<SegmentSource> sources;
+    int zBase = 0;
+    for (std::size_t si = 0; si < segments.size(); ++si) {
+        const TraceSegment &seg = segments[si];
+        SegmentSource src;
+        src.zBase = zBase;
+        src.depth = seg.depth;
+        src.rng = sim::Rng(imageSeed)
+                      .fork(0x7a0000 +
+                            static_cast<std::uint64_t>(conv.convIndex))
+                      .fork(si);
+        if (seg.producerConvIndex < 0) {
+            // Raw image data (or flattened FC data): essentially dense.
+            src.model.zeroFraction = 0.01;
+            src.model.channelDispersion = 0.05;
+            src.model.spatialDispersion = 0.05;
+        } else {
+            src.model.zeroFraction = conv.conv.inputZeroFraction;
+            if (prune) {
+                src.threshold = prune->forConvIndex(
+                    static_cast<std::size_t>(seg.producerConvIndex));
+            }
         }
+        sources.push_back(std::move(src));
+        zBase += seg.depth;
     }
-
-    // Normalise so the mean activity probability matches the target;
-    // clamping to [0,1] shifts the mean, so iterate a few times.
-    double scale = 1.0;
-    for (int iter = 0; iter < 4; ++iter) {
-        double mean = 0.0;
-        for (const double s : spatial)
-            for (const double rate : channelRate)
-                mean += std::min(1.0, s * rate * scale * active);
-        mean /= static_cast<double>(pixels * channelRate.size());
-        if (mean <= 0.0)
-            break;
-        scale *= active / mean;
-    }
-
-    for (std::size_t p = 0; p < pixels; ++p) {
-        Fixed16 *const column = base + p * stride;
-        for (int z = 0; z < depth; ++z) {
-            const double prob =
-                std::min(1.0, spatial[p] * channelRate[z] * scale * active);
-            column[z] = rng.bernoulli(prob) ? draw() : Fixed16{};
-        }
-    }
+    return sources;
 }
 
 } // namespace
@@ -231,87 +335,66 @@ inputSegments(const Network &net, int convNodeId)
     return result;
 }
 
-void
-applyPruneToConvInput(const Network &net, int convNodeId,
-                      NeuronTensor &input, const PruneConfig &prune)
-{
-    const Node &conv = net.node(convNodeId);
-    CNV_ASSERT(conv.kind == NodeKind::Conv,
-               "applyPruneToConvInput needs a conv node");
-    CNV_ASSERT(input.shape() == conv.inShape,
-               "trace shape does not match the layer input");
-    int zBase = 0;
-    for (const TraceSegment &seg : inputSegments(net, convNodeId)) {
-        const std::int32_t threshold = seg.producerConvIndex >= 0
-            ? prune.forConvIndex(
-                  static_cast<std::size_t>(seg.producerConvIndex))
-            : 0;
-        if (threshold > 0) {
-            for (int y = 0; y < input.shape().y; ++y)
-                for (int x = 0; x < input.shape().x; ++x)
-                    for (int z = zBase; z < zBase + seg.depth; ++z) {
-                        Fixed16 &v = input.at(x, y, z);
-                        if (v.rawAbs() < threshold)
-                            v = Fixed16{};
-                    }
-        }
-        zBase += seg.depth;
-    }
-}
-
 NeuronTensor
 synthesizeConvInput(const Network &net, int convNodeId,
                     std::uint64_t imageSeed, const PruneConfig *prune)
 {
-    const Node &conv = net.node(convNodeId);
-    CNV_ASSERT(conv.kind == NodeKind::Conv, "synthesizeConvInput needs conv");
-    const Shape3 shape = conv.inShape;
-    const std::vector<TraceSegment> segments = inputSegments(net, convNodeId);
-
-    NeuronTensor out(shape);
-    int zBase = 0;
-    for (std::size_t si = 0; si < segments.size(); ++si) {
-        const TraceSegment &seg = segments[si];
-        // Independent stream per (image, conv layer, segment).
-        sim::Rng rng = sim::Rng(imageSeed)
-                           .fork(0x7a0000 + static_cast<std::uint64_t>(
-                                                net.node(convNodeId).convIndex))
-                           .fork(si);
-
-        SparsityModel model;
-        std::int32_t threshold = 0;
-        if (seg.producerConvIndex < 0) {
-            // Raw image data (or flattened FC data): essentially dense.
-            model.zeroFraction = 0.01;
-            model.channelDispersion = 0.05;
-            model.spatialDispersion = 0.05;
-        } else {
-            model.zeroFraction = conv.conv.inputZeroFraction;
-            if (prune) {
-                threshold = prune->forConvIndex(
-                    static_cast<std::size_t>(seg.producerConvIndex));
-            }
-        }
-
-        synthesizeInto(out, zBase, seg.depth, model, rng, threshold);
-        zBase += seg.depth;
-    }
+    NeuronTensor out(net.node(convNodeId).inShape);
+    for (SegmentSource &src :
+         segmentSources(net, convNodeId, imageSeed, prune))
+        synthesizeInto(out, src.zBase, src.depth, src.model, src.rng,
+                       src.threshold);
     return out;
+}
+
+tensor::Tensor3<std::uint8_t>
+synthesizeConvInputCounts(const Network &net, int convNodeId,
+                          std::uint64_t imageSeed, int brickSize)
+{
+    if (brickSize < 1 || brickSize > 255)
+        CNV_FATAL("brick size {} outside supported range for count map",
+                  brickSize);
+    const Shape3 shape = net.node(convNodeId).inShape;
+    CountMap counts(shape.x, shape.y, (shape.z + brickSize - 1) / brickSize);
+    for (SegmentSource &src :
+         segmentSources(net, convNodeId, imageSeed, nullptr))
+        countInto(counts, shape, src.zBase, src.depth, brickSize, src.model,
+                  src.rng);
+    return counts;
 }
 
 double
 zeroOperandFraction(const Network &net, std::uint64_t imageSeed,
                     const PruneConfig *prune)
 {
+    // Only a positive threshold needs the values; without one the
+    // count-only synthesis gives the same zeros.
+    const bool prunes = prune != nullptr && prune->prunesValues();
+    // The widest brick a count byte holds: the smallest count map.
+    constexpr int kCountBrick = 255;
     double weightedZero = 0.0;
     double totalMacs = 0.0;
     for (int id : net.convNodeIds()) {
         const Node &n = net.node(id);
-        const NeuronTensor in = synthesizeConvInput(net, id, imageSeed, prune);
         // Every input neuron participates in the same number of
         // products for a given layer, so the operand zero fraction
         // equals the tensor zero fraction, MAC-weighted per layer.
-        const double zf = tensor::zeroFraction(in);
+        double zf = 0.0;
+        if (prunes) {
+            zf = tensor::zeroFraction(
+                synthesizeConvInput(net, id, imageSeed, prune));
+        } else {
+            const CountMap counts =
+                synthesizeConvInputCounts(net, id, imageSeed, kCountBrick);
+            std::size_t nonZero = 0;
+            for (const std::uint8_t c : counts)
+                nonZero += c;
+            // tensor::zeroFraction's numerator and division.
+            const std::size_t size = n.inShape.volume();
+            zf = size > 0 ? static_cast<double>(size - nonZero) /
+                                static_cast<double>(size)
+                          : 0.0;
+        }
         const double macs = static_cast<double>(n.macs());
         weightedZero += zf * macs;
         totalMacs += macs;

@@ -77,15 +77,17 @@ tensor::NeuronTensor synthesizeConvInput(const Network &net, int convNodeId,
                                          const PruneConfig *prune = nullptr);
 
 /**
- * Apply dynamic-pruning thresholds to a conv layer's input tensor,
- * segment by segment: each depth range is pruned with its producing
- * layer's threshold, exactly as that producer's encoder would have
- * written it to NM. Used both by the synthetic trace generator and
- * for externally supplied (real-framework) traces.
+ * Per-brick non-zero counts of synthesizeConvInput(net, convNodeId,
+ * imageSeed) without pruning, computed without drawing a single
+ * activation value: equal to zfnaf::nonZeroCountMap of that tensor
+ * at `brickSize` (1..255), dims (x, y, bricks per column). It
+ * consumes each segment's stream exactly as the value synthesis
+ * does (sim::Rng::skipNormal stands in for every value draw), so
+ * the two paths cannot drift apart.
  */
-void applyPruneToConvInput(const Network &net, int convNodeId,
-                           tensor::NeuronTensor &input,
-                           const PruneConfig &prune);
+tensor::Tensor3<std::uint8_t>
+synthesizeConvInputCounts(const Network &net, int convNodeId,
+                          std::uint64_t imageSeed, int brickSize);
 
 /**
  * Synthesise one input "image": positive values with a strong
@@ -99,7 +101,8 @@ tensor::NeuronTensor synthesizeImage(tensor::Shape3 shape,
 /**
  * Measured fraction of conv multiplication operands that are zero
  * for one image (Figure 1's metric): MAC-weighted input zero
- * fraction across all conv layers.
+ * fraction across all conv layers. Without a positive prune
+ * threshold it reads count-only syntheses, never values.
  */
 double zeroOperandFraction(const Network &net, std::uint64_t imageSeed,
                            const PruneConfig *prune = nullptr);

@@ -22,6 +22,18 @@ rotl(std::uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
+double
+boxMullerRadius(double u1)
+{
+    return std::sqrt(-2.0 * std::log(u1));
+}
+
+double
+boxMullerAngle(double u2)
+{
+    return 2.0 * 3.14159265358979323846 * u2;
+}
+
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -86,24 +98,50 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
     return lo + static_cast<std::int64_t>(uniformInt(span));
 }
 
-double
-Rng::normal()
+void
+Rng::drawPairUniforms(double &u1, double &u2)
 {
-    if (hasCachedNormal_) {
-        hasCachedNormal_ = false;
-        return cachedNormal_;
-    }
-    // Box-Muller transform; u1 in (0,1] to keep the log finite.
-    double u1;
+    // u1 in (0,1] keeps the Box-Muller logarithm finite.
     do {
         u1 = uniform();
     } while (u1 <= 0.0);
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * 3.14159265358979323846 * u2;
+    u2 = uniform();
+}
+
+double
+Rng::normal()
+{
+    switch (pending_) {
+      case Pending::Value:
+        pending_ = Pending::None;
+        return cachedNormal_;
+      case Pending::Uniforms:
+        // Same expression as the eager sine half below, so the
+        // deviate is bit-identical whichever call drew the pair.
+        pending_ = Pending::None;
+        return boxMullerRadius(pairU1_) * std::sin(boxMullerAngle(pairU2_));
+      case Pending::None:
+        break;
+    }
+    double u1 = 0.0;
+    double u2 = 0.0;
+    drawPairUniforms(u1, u2);
+    const double r = boxMullerRadius(u1);
+    const double theta = boxMullerAngle(u2);
     cachedNormal_ = r * std::sin(theta);
-    hasCachedNormal_ = true;
+    pending_ = Pending::Value;
     return r * std::cos(theta);
+}
+
+void
+Rng::skipNormal()
+{
+    if (pending_ != Pending::None) {
+        pending_ = Pending::None;
+        return;
+    }
+    drawPairUniforms(pairU1_, pairU2_);
+    pending_ = Pending::Uniforms;
 }
 
 double

@@ -45,6 +45,14 @@ class Rng
     /** Standard normal deviate (Box-Muller, cached pair). */
     double normal();
 
+    /**
+     * Advance the stream exactly as normal() would, without
+     * computing the deviate: the next draw of any kind, normal()
+     * included, returns what it would have returned after a
+     * normal(). Costs no logarithm or trigonometry.
+     */
+    void skipNormal();
+
     /** Normal deviate with the given mean and standard deviation. */
     double normal(double mean, double stddev);
 
@@ -59,9 +67,25 @@ class Rng
     Rng fork(std::uint64_t stream) const;
 
   private:
+    /** Draw a Box-Muller pair's two uniforms, u1 in (0, 1]. */
+    void drawPairUniforms(double &u1, double &u2);
+
+    /** What the pending second half of a Box-Muller pair holds. */
+    enum class Pending : std::uint8_t
+    {
+        None,
+        /** The sine half, computed by normal(). */
+        Value,
+        /** The pair's uniforms, drawn by skipNormal(); normal()
+         *  computes the sine half from them on demand. */
+        Uniforms,
+    };
+
     std::array<std::uint64_t, 4> state_;
+    Pending pending_ = Pending::None;
     double cachedNormal_ = 0.0;
-    bool hasCachedNormal_ = false;
+    double pairU1_ = 0.0;
+    double pairU2_ = 0.0;
 };
 
 } // namespace cnv::sim

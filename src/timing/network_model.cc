@@ -6,13 +6,11 @@
 #include <utility>
 
 #include "dadiannao/other_layers.h"
-#include "nn/trace.h"
 #include "sim/logging.h"
 #include "sim/parallel.h"
 #include "tensor/serialize.h"
 #include "timing/conv_model.h"
 #include "timing/trace_cache.h"
-#include "zfnaf/format.h"
 
 namespace cnv::timing {
 
@@ -138,6 +136,16 @@ fcCnvTiming(const dadiannao::NodeConfig &cfg, const nn::Node &node,
 
 } // namespace
 
+CountLookup
+countLookup(const NodeConfig &cfg, Dataflow df, const RunOptions &opts)
+{
+    CountLookup lookup;
+    lookup.brickSize = cfg.brickSize;
+    if (df.encoded && opts.prune != nullptr)
+        lookup.prune = *opts.prune;
+    return lookup;
+}
+
 LayerResult
 convLayerTiming(const NodeConfig &cfg, Dataflow df, const nn::Node &node,
                 const CountMap &counts, double weightSparsity,
@@ -220,6 +228,9 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Dataflow df,
     };
 
     OverlapTracker overlap;
+    const CountLookup lookup = countLookup(cfg, df, opts);
+    TraceCache localCache;
+    TraceCache &cache = opts.cache != nullptr ? *opts.cache : localCache;
 
     for (int id = 0; id < net.nodeCount(); ++id) {
         const nn::Node &n = net.node(id);
@@ -254,35 +265,11 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Dataflow df,
             // The baseline's cycle count is content-independent, but
             // its zero/non-zero activity split is not, so both
             // architectures consume the same trace (external when a
-            // provider supplies one, synthetic otherwise). Pruning
-            // only reaches the encoder; the baseline always sees
-            // unpruned values.
-            const nn::PruneConfig *prune = df.encoded ? opts.prune : nullptr;
-            std::shared_ptr<const CountMap> cached;
-            CountMap local;
-            if (opts.cache) {
-                cached = opts.cache->countMap(net, id, opts.imageSeed,
-                                              opts.traces, prune,
-                                              cfg.brickSize);
-            } else {
-                tensor::NeuronTensor in;
-                std::optional<tensor::NeuronTensor> external;
-                if (opts.traces)
-                    external =
-                        opts.traces->convInput(net, id, opts.imageSeed);
-                if (external) {
-                    in = std::move(*external);
-                    if (prune)
-                        nn::applyPruneToConvInput(net, id, in, *prune);
-                } else {
-                    in = nn::synthesizeConvInput(net, id, opts.imageSeed,
-                                                 prune);
-                }
-                local = zfnaf::nonZeroCountMap(in, cfg.brickSize);
-            }
-            const CountMap &counts = cached ? *cached : local;
-
-            LayerResult conv = convLayerTiming(cfg, df, n, counts,
+            // provider supplies one, synthetic otherwise).
+            const std::shared_ptr<const CountMap> counts =
+                cache.countMap(net, id, opts.imageSeed, opts.traces,
+                               &lookup.prune, lookup.brickSize);
+            LayerResult conv = convLayerTiming(cfg, df, n, *counts,
                                                opts.weightSparsity,
                                                memModel.get());
             overlap.deposit(conv.cycles);
@@ -348,12 +335,16 @@ speedup(const NodeConfig &cfg, const nn::Network &net, int images,
 {
     CNV_ASSERT(images > 0, "need at least one image");
     // One cache for the batch: baseline and CNV share each image's
-    // synthesized tensor instead of generating it twice.
+    // trace instead of generating it twice.
     TraceCache cache;
     std::vector<std::uint64_t> seeds;
     for (int i = 0; i < images; ++i)
         seeds.push_back(seedBase + static_cast<std::uint64_t>(i));
-    cache.warm(net, seeds, nullptr);
+    RunOptions batch;
+    batch.prune = prune;
+    cache.warm(net, seeds, nullptr,
+               {countLookup(cfg, Dataflow{}, batch),
+                countLookup(cfg, Dataflow{.encoded = true}, batch)});
     std::uint64_t base = 0, cnvCycles = 0;
     sim::parallelMapReduce(
         static_cast<std::size_t>(images),

@@ -120,10 +120,10 @@ struct RunOptions
     /** Optional external activation traces. */
     const TraceProvider *traces = nullptr;
     /**
-     * Optional shared trace cache (timing/trace_cache.h). When set,
-     * conv-layer inputs and count maps are fetched through it —
-     * bit-identical to the inline path, but computed once per
-     * (image, layer) across architectures and threads.
+     * Optional shared trace cache (timing/trace_cache.h): count maps
+     * are computed once per (image, layer) across architectures and
+     * threads. Without one, the run fetches them through a
+     * call-local cache, so both cases take the same path.
      */
     TraceCache *cache = nullptr;
     /**
@@ -154,6 +154,26 @@ struct RunOptions
      */
     mem::Geometry memGeometry{};
 };
+
+/**
+ * One count-map lookup: the brick size a run's conv layers are
+ * counted at and the prune thresholds that reach its encoder (empty:
+ * none). TraceCache::warm fills the lookups a sweep will make.
+ */
+struct CountLookup
+{
+    int brickSize = 0;
+    nn::PruneConfig prune;
+};
+
+/**
+ * The count-map lookup simulateNetwork(cfg, net, df, opts) makes for
+ * every conv layer: cfg's brick size, and opts.prune on encoded
+ * dataflows only (the baseline has no encoder and always sees
+ * unpruned values).
+ */
+CountLookup countLookup(const dadiannao::NodeConfig &cfg, Dataflow df,
+                        const RunOptions &opts);
 
 /**
  * Conv layer timing on one dataflow: applies the per-layer

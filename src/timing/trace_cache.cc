@@ -1,6 +1,8 @@
 #include "timing/trace_cache.h"
 
 #include <algorithm>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "nn/trace.h"
@@ -34,6 +36,27 @@ pruneKey(const nn::PruneConfig *prune)
     return key;
 }
 
+/** A positive threshold zeroes small magnitudes: counting needs values. */
+bool
+prunesValues(const nn::PruneConfig *prune)
+{
+    return prune != nullptr && prune->prunesValues();
+}
+
+/** Run `compute`, recording its latency in the `histogram` that
+ *  hostProfile.traceCache reports, when metrics are on. */
+template <typename Fn>
+auto
+timed(std::string_view histogram, Fn &&compute)
+{
+    const std::uint64_t t0 = sim::metrics().nowIfEnabled();
+    auto result = compute();
+    if (t0 != 0)
+        sim::metrics().recordNanos(histogram,
+                                   sim::MetricsRegistry::nowNanos() - t0);
+    return result;
+}
+
 } // namespace
 
 std::shared_ptr<TraceCache::TensorSlot>
@@ -47,25 +70,62 @@ TraceCache::tensorSlot(const nn::Network &net, int convNodeId,
     return entry;
 }
 
+std::shared_ptr<TraceCache::CountSlot>
+TraceCache::countSlot(const nn::Network &net, int convNodeId,
+                      std::uint64_t imageSeed, const nn::PruneConfig *prune,
+                      int brickSize)
+{
+    const core::MutexLock lock(mutex_);
+    auto &entry = counts_[sim::strfmt("{}#{}#{}",
+                                      tensorKey(net, convNodeId, imageSeed),
+                                      pruneKey(prune), brickSize)];
+    if (!entry)
+        entry = std::make_shared<CountSlot>();
+    return entry;
+}
+
+std::shared_ptr<const tensor::NeuronTensor>
+TraceCache::existingTensor(const nn::Network &net, int convNodeId,
+                           std::uint64_t imageSeed)
+{
+    std::shared_ptr<TensorSlot> slot;
+    {
+        const core::MutexLock lock(mutex_);
+        const auto it = tensors_.find(tensorKey(net, convNodeId, imageSeed));
+        if (it == tensors_.end())
+            return nullptr;
+        slot = it->second;
+    }
+    const core::MutexLock lock(slot->m);
+    return slot->value;
+}
+
+std::shared_ptr<const tensor::NeuronTensor>
+TraceCache::filledTensor(const nn::Network &net, int convNodeId,
+                         std::uint64_t imageSeed,
+                         const TraceProvider *traces)
+{
+    const std::shared_ptr<TensorSlot> slot =
+        tensorSlot(net, convNodeId, imageSeed);
+    const core::MutexLock lock(slot->m);
+    if (!slot->value)
+        fill(*slot, net, convNodeId, imageSeed, traces);
+    return slot->value;
+}
+
 void
 TraceCache::fill(TensorSlot &slot, const nn::Network &net, int convNodeId,
                  std::uint64_t imageSeed, const TraceProvider *traces)
 {
-    // The synthesis (or trace-load) cost every lookup of this key
-    // amortizes; its latency distribution feeds
-    // hostProfile.traceCache.synthesis.
-    const std::uint64_t t0 = sim::metrics().nowIfEnabled();
-    std::optional<tensor::NeuronTensor> external;
-    if (traces)
-        external = traces->convInput(net, convNodeId, imageSeed);
-    slot.value = std::make_shared<const tensor::NeuronTensor>(
-        external ? std::move(*external)
-                 : nn::synthesizeConvInput(net, convNodeId, imageSeed,
-                                           nullptr));
-    if (t0 != 0)
-        sim::metrics().recordNanos(
-            "traceCache.synthesis",
-            sim::MetricsRegistry::nowNanos() - t0);
+    slot.value = timed("traceCache.synthesis", [&] {
+        std::optional<tensor::NeuronTensor> external;
+        if (traces)
+            external = traces->convInput(net, convNodeId, imageSeed);
+        return std::make_shared<const tensor::NeuronTensor>(
+            external ? std::move(*external)
+                     : nn::synthesizeConvInput(net, convNodeId, imageSeed,
+                                               nullptr));
+    });
 }
 
 std::shared_ptr<const tensor::NeuronTensor>
@@ -88,11 +148,54 @@ TraceCache::convInput(const nn::Network &net, int convNodeId,
     return slot->value;
 }
 
+std::shared_ptr<const CountMap>
+TraceCache::computeCounts(const tensor::NeuronTensor *tensor,
+                          const nn::Network &net, int convNodeId,
+                          std::uint64_t imageSeed,
+                          const nn::PruneConfig *prune, int brickSize)
+{
+    if (tensor == nullptr)
+        return timed("traceCache.synthesis", [&] {
+            return std::make_shared<const CountMap>(
+                nn::synthesizeConvInputCounts(net, convNodeId, imageSeed,
+                                              brickSize));
+        });
+    return timed("traceCache.encode", [&] {
+        if (!prunesValues(prune))
+            return std::make_shared<const CountMap>(
+                zfnaf::nonZeroCountMap(*tensor, brickSize));
+        // Segmented counting folds the per-producer thresholds into
+        // the count predicate — same counts as prune-then-count,
+        // without copying the tensor.
+        std::vector<zfnaf::DepthThreshold> segments;
+        for (const nn::TraceSegment &seg :
+             nn::inputSegments(net, convNodeId)) {
+            const std::int32_t threshold = seg.producerConvIndex >= 0
+                ? prune->forConvIndex(
+                      static_cast<std::size_t>(seg.producerConvIndex))
+                : 0;
+            segments.push_back({seg.depth, threshold});
+        }
+        return std::make_shared<const CountMap>(
+            zfnaf::nonZeroCountMap(*tensor, brickSize, segments));
+    });
+}
+
 void
 TraceCache::warm(const nn::Network &net,
                  const std::vector<std::uint64_t> &imageSeeds,
-                 const TraceProvider *traces)
+                 const TraceProvider *traces,
+                 const std::vector<CountLookup> &lookups)
 {
+    if (lookups.empty())
+        return;
+    // Count-only synthesis serves one brick size; several sizes share
+    // one value tensor instead of drawing the pattern once per size.
+    bool values = traces != nullptr;
+    for (const CountLookup &l : lookups)
+        values = values || prunesValues(&l.prune) ||
+                 l.brickSize != lookups.front().brickSize;
+
     struct Job
     {
         int node;
@@ -108,11 +211,19 @@ TraceCache::warm(const nn::Network &net,
                                 net.node(b.node).inShape.volume();
                      });
     sim::parallelFor(jobs.size(), [&](std::size_t i) {
-        const std::shared_ptr<TensorSlot> slot =
-            tensorSlot(net, jobs[i].node, jobs[i].seed);
-        const core::MutexLock lock(slot->m);
-        if (!slot->value)
-            fill(*slot, net, jobs[i].node, jobs[i].seed, traces);
+        const Job &job = jobs[i];
+        const std::shared_ptr<const tensor::NeuronTensor> tensor = values
+            ? filledTensor(net, job.node, job.seed, traces)
+            : existingTensor(net, job.node, job.seed);
+        for (const CountLookup &l : lookups) {
+            const std::shared_ptr<CountSlot> slot =
+                countSlot(net, job.node, job.seed, &l.prune, l.brickSize);
+            const core::MutexLock lock(slot->m);
+            if (!slot->value)
+                slot->value = computeCounts(tensor.get(), net, job.node,
+                                            job.seed, &l.prune,
+                                            l.brickSize);
+        }
     });
 }
 
@@ -121,52 +232,30 @@ TraceCache::countMap(const nn::Network &net, int convNodeId,
                      std::uint64_t imageSeed, const TraceProvider *traces,
                      const nn::PruneConfig *prune, int brickSize)
 {
-    std::shared_ptr<Slot<CountMap>> slot;
-    {
-        const core::MutexLock lock(mutex_);
-        auto &entry = counts_[sim::strfmt(
-            "{}#{}#{}", tensorKey(net, convNodeId, imageSeed),
-            pruneKey(prune), brickSize)];
-        if (!entry)
-            entry = std::make_shared<Slot<CountMap>>();
-        slot = entry;
-    }
+    const std::shared_ptr<CountSlot> slot =
+        countSlot(net, convNodeId, imageSeed, prune, brickSize);
     const core::MutexLock lock(slot->m);
-    if (slot->value) {
+    if (slot->counted) {
         countHits_.fetch_add(1, std::memory_order_relaxed);
         sim::metrics().add("traceCache.countMapHits");
         return slot->value;
     }
     countMisses_.fetch_add(1, std::memory_order_relaxed);
     sim::metrics().add("traceCache.countMapMisses");
-    const std::shared_ptr<const tensor::NeuronTensor> unpruned =
-        convInput(net, convNodeId, imageSeed, traces);
-    // Timed after the nested tensor lookup so the encode histogram
-    // (hostProfile.traceCache.encode) measures only the prune +
-    // non-zero-count work, not a first-touch synthesis underneath.
-    const std::uint64_t t0 = sim::metrics().nowIfEnabled();
-    if (prune) {
-        // Segmented counting folds the per-producer thresholds into
-        // the count predicate — same counts as prune-then-count,
-        // without copying the tensor.
-        std::vector<zfnaf::DepthThreshold> segments;
-        for (const nn::TraceSegment &seg :
-             nn::inputSegments(net, convNodeId)) {
-            const std::int32_t threshold = seg.producerConvIndex >= 0
-                ? prune->forConvIndex(
-                      static_cast<std::size_t>(seg.producerConvIndex))
-                : 0;
-            segments.push_back({seg.depth, threshold});
-        }
-        slot->value = std::make_shared<const CountMap>(
-            zfnaf::nonZeroCountMap(*unpruned, brickSize, segments));
-    } else {
-        slot->value = std::make_shared<const CountMap>(
-            zfnaf::nonZeroCountMap(*unpruned, brickSize));
+    slot->counted = true;
+    // A lookup that needs values counts its tensor lookup even when
+    // warm() already filled this map, so warming stays invisible to
+    // the counters.
+    std::shared_ptr<const tensor::NeuronTensor> tensor =
+        traces != nullptr || prunesValues(prune)
+            ? convInput(net, convNodeId, imageSeed, traces)
+            : nullptr;
+    if (!slot->value) {
+        if (!tensor)
+            tensor = existingTensor(net, convNodeId, imageSeed);
+        slot->value = computeCounts(tensor.get(), net, convNodeId,
+                                    imageSeed, prune, brickSize);
     }
-    if (t0 != 0)
-        sim::metrics().recordNanos("traceCache.encode",
-                                   sim::MetricsRegistry::nowNanos() - t0);
     return slot->value;
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for timing::TraceCache: cached tensors and count maps are
- * bit-identical to the inline synthesis path (with and without
- * pruning), hit/miss counters are exact, concurrent lookups of one
- * key compute it once, warming is invisible to the counters, and
- * simulateNetwork produces identical results with and without a
- * cache.
+ * bit-identical to the value synthesis path (with and without
+ * pruning), hit/miss counters are exact (tensor counters count value
+ * consumers only), concurrent lookups of one key compute it once,
+ * warming is invisible to the counters, a warmed sweep synthesizes
+ * each (layer, image) once, and simulateNetwork produces identical
+ * results with and without a shared cache.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +16,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "driver/driver.h"
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
+#include "sim/metrics.h"
 #include "sim/parallel.h"
 #include "timing/network_model.h"
 #include "timing/trace_cache.h"
@@ -71,6 +74,12 @@ TEST(TraceCache, CountMapMatchesInlinePathWithPruning)
         const auto cached = cache.countMap(*net, nodeId, 3, nullptr,
                                            &prune, cfg.brickSize);
         EXPECT_EQ(*cached, expected);
+        // The unpruned map is served count-first.
+        EXPECT_EQ(*cache.countMap(*net, nodeId, 4, nullptr, nullptr,
+                                  cfg.brickSize),
+                  zfnaf::nonZeroCountMap(
+                      nn::synthesizeConvInput(*net, nodeId, 4),
+                      cfg.brickSize));
     }
 }
 
@@ -78,25 +87,37 @@ TEST(TraceCache, HitAndMissCountersAreExact)
 {
     const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
     const int nodeId = net->convNodeIds().front();
+    nn::PruneConfig prune;
+    prune.thresholds.assign(
+        static_cast<std::size_t>(net->convLayerCount()), 16);
     timing::TraceCache cache;
 
+    // An unpruned synthetic lookup is count-first: no tensor lookup.
     cache.countMap(*net, nodeId, 1, nullptr, nullptr, 16);
     auto s = cache.stats();
     EXPECT_EQ(s.countMapMisses, 1u);
     EXPECT_EQ(s.countMapHits, 0u);
-    EXPECT_EQ(s.tensorMisses, 1u);
+    EXPECT_EQ(s.tensorMisses, 0u);
 
     // Same key: a pure hit, nothing recomputed.
     cache.countMap(*net, nodeId, 1, nullptr, nullptr, 16);
     s = cache.stats();
     EXPECT_EQ(s.countMapMisses, 1u);
     EXPECT_EQ(s.countMapHits, 1u);
-    EXPECT_EQ(s.tensorMisses, 1u);
+    EXPECT_EQ(s.tensorMisses, 0u);
 
-    // Different brick size: new count map, but the tensor is shared.
+    // Different brick size: a new count map, still value-free.
     cache.countMap(*net, nodeId, 1, nullptr, nullptr, 8);
     s = cache.stats();
     EXPECT_EQ(s.countMapMisses, 2u);
+    EXPECT_EQ(s.tensorMisses, 0u);
+
+    // A pruned lookup needs values: its first lookup is the tensor's
+    // miss, and an explicit convInput then hits the same tensor.
+    cache.countMap(*net, nodeId, 1, nullptr, &prune, 16);
+    cache.convInput(*net, nodeId, 1, nullptr);
+    s = cache.stats();
+    EXPECT_EQ(s.countMapMisses, 3u);
     EXPECT_EQ(s.tensorMisses, 1u);
     EXPECT_EQ(s.tensorHits, 1u);
 }
@@ -113,7 +134,7 @@ TEST(TraceCache, ConcurrentLookupsComputeOnce)
     const auto s = cache.stats();
     EXPECT_EQ(s.countMapMisses, 1u);
     EXPECT_EQ(s.countMapHits, 15u);
-    EXPECT_EQ(s.tensorMisses, 1u);
+    EXPECT_EQ(s.tensorMisses, 0u);
 }
 
 TEST(TraceCache, WarmingLeavesStatsAndTensorsUnchanged)
@@ -140,7 +161,7 @@ TEST(TraceCache, WarmingLeavesStatsAndTensorsUnchanged)
     };
 
     timing::TraceCache warmed;
-    warmed.warm(*net, seeds, nullptr);
+    warmed.warm(*net, seeds, nullptr, {{16, {}}, {16, prune}});
     EXPECT_EQ(warmed.stats(), timing::TraceCache::Stats{});
     timing::TraceCache cold;
     const auto a = lookups(warmed);
@@ -159,9 +180,9 @@ TEST(TraceCache, SecondWarmIsANoOp)
     const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
     const CountingProvider provider;
     timing::TraceCache cache;
-    cache.warm(*net, {7}, &provider);
+    cache.warm(*net, {7}, &provider, {{16, {}}});
     EXPECT_EQ(provider.calls.load(), net->convLayerCount());
-    cache.warm(*net, {7}, &provider);
+    cache.warm(*net, {7}, &provider, {{16, {}}});
     EXPECT_EQ(provider.calls.load(), net->convLayerCount());
     EXPECT_EQ(cache.stats(), timing::TraceCache::Stats{});
 
@@ -186,7 +207,7 @@ TEST(TraceCache, WarmRacingLookupsComputesEachKeyOnce)
     const std::size_t keys = nodes.size() * seeds.size();
     sim::parallelFor(1 + 2 * keys, [&](std::size_t i) {
         if (i == 0) {
-            cache.warm(*net, seeds, &provider);
+            cache.warm(*net, seeds, &provider, {{16, {}}});
             return;
         }
         const std::size_t k = (i - 1) % keys;
@@ -201,6 +222,43 @@ TEST(TraceCache, WarmRacingLookupsComputesEachKeyOnce)
     EXPECT_EQ(s.tensorHits, 0u);
     EXPECT_EQ(s.countMapMisses, keys);
     EXPECT_EQ(s.countMapHits, keys);
+}
+
+/** Syntheses (value or count-only) recorded since metrics came on. */
+std::uint64_t
+synthesesSoFar()
+{
+    const auto snap = sim::metrics().snapshot();
+    const auto it = snap.histograms.find("traceCache.synthesis");
+    return it != snap.histograms.end() ? it->second.count : 0;
+}
+
+// After the sweep's warm, no grid task synthesizes: each (conv layer,
+// image) is synthesized exactly once, with values when a pruned or
+// multi-brick grid needs them and count-only otherwise.
+TEST(TraceCache, WarmedGridSynthesizesEachLayerImageOnce)
+{
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    driver::ExperimentConfig cfg;
+    cfg.images = 2;
+    cfg.seed = 5;
+    const std::uint64_t keys =
+        static_cast<std::uint64_t>(net->convLayerCount()) * 2u;
+    const std::string grids[] = {"dadiannao,cnv,cnv-pruned,cnv-b8",
+                                 "dadiannao,cnv,cnv2"};
+    sim::metrics().setEnabled(true);
+    for (const std::string &grid : grids) {
+        timing::TraceCache cache;
+        const std::uint64_t before = synthesesSoFar();
+        driver::evaluateNetworkArchs(cfg, *net, arch::builtin().select(grid),
+                                     nullptr, &cache);
+        EXPECT_EQ(synthesesSoFar() - before, keys) << grid;
+        // Value tensors only where a pruned lookup asked for them.
+        EXPECT_EQ(cache.stats().tensorMisses,
+                  grid.find("pruned") != std::string::npos ? keys : 0u)
+            << grid;
+    }
+    sim::metrics().setEnabled(false);
 }
 
 TEST(TraceCache, SimulateNetworkIdenticalWithAndWithoutCache)

@@ -2,13 +2,15 @@
  * @file
  * Tests for external trace injection: a DirectoryTraceProvider fed
  * with exported traces must reproduce the synthetic run exactly,
- * honour pruning thresholds, fall back gracefully on missing files,
- * and reject shape mismatches.
+ * honour pruning thresholds (per producer segment), fall back
+ * gracefully on missing files, and reject shape mismatches.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
+#include <utility>
 
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
@@ -16,6 +18,7 @@
 #include "sim/logging.h"
 #include "tensor/serialize.h"
 #include "timing/network_model.h"
+#include "timing/trace_cache.h"
 
 namespace {
 
@@ -146,10 +149,26 @@ TEST_F(TraceProviderTest, ShapeMismatchIsFatal)
     sim::setVerbosity(sim::Verbosity::Info);
 }
 
-TEST(ApplyPrune, SegmentsUseProducerThresholds)
+/** Supplies one fixed tensor for every lookup. */
+class FixedProvider : public timing::TraceProvider
 {
-    // In a concat-fed layer, each depth segment is pruned with the
-    // threshold of the conv that produced it.
+  public:
+    explicit FixedProvider(tensor::NeuronTensor t) : t_(std::move(t)) {}
+
+    std::optional<tensor::NeuronTensor>
+    convInput(const nn::Network &, int, std::uint64_t) const override
+    {
+        return t_;
+    }
+
+  private:
+    tensor::NeuronTensor t_;
+};
+
+TEST(ProviderPrune, SegmentsUseProducerThresholds)
+{
+    // In a concat-fed layer, each depth segment of an external trace
+    // is pruned with the threshold of the conv that produced it.
     const auto net = nn::zoo::build(nn::zoo::NetId::Google, 3, 8);
     // Find a conv fed by a 4-way concat.
     int target = -1;
@@ -167,21 +186,29 @@ TEST(ApplyPrune, SegmentsUseProducerThresholds)
     // Prune only the first segment's producer, aggressively.
     prune.thresholds[segments[0].producerConvIndex] = 30000;
 
-    auto input = nn::synthesizeConvInput(*net, target, 9);
-    const auto before = input;
-    nn::applyPruneToConvInput(*net, target, input, prune);
+    const auto input = nn::synthesizeConvInput(*net, target, 9);
+    const FixedProvider provider(input);
+    timing::TraceCache cache;
+    // One-element bricks: each count is 1 exactly when the element
+    // survives the prune.
+    const auto kept = cache.countMap(*net, target, 9, &provider, &prune, 1);
 
     // First segment largely zeroed; later segments untouched.
-    int z0 = segments[0].depth;
-    std::size_t changed = 0;
+    const int z0 = segments[0].depth;
+    std::size_t dropped = 0;
     for (int y = 0; y < input.shape().y; ++y)
         for (int x = 0; x < input.shape().x; ++x) {
-            for (int z = 0; z < z0; ++z)
-                changed += !(input.at(x, y, z) == before.at(x, y, z));
+            for (int z = 0; z < z0; ++z) {
+                const tensor::Fixed16 v = input.at(x, y, z);
+                const bool survives = !v.isZero() && v.rawAbs() >= 30000;
+                EXPECT_EQ(kept->at(x, y, z), survives ? 1 : 0);
+                dropped += !v.isZero() && !survives;
+            }
             for (int z = z0; z < input.shape().z; ++z)
-                EXPECT_EQ(input.at(x, y, z), before.at(x, y, z));
+                EXPECT_EQ(kept->at(x, y, z),
+                          input.at(x, y, z).isZero() ? 0 : 1);
         }
-    EXPECT_GT(changed, 0u);
+    EXPECT_GT(dropped, 0u);
 }
 
 } // namespace

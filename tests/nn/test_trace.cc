@@ -8,6 +8,7 @@
 #include "nn/trace.h"
 #include "nn/zoo/zoo.h"
 #include "sim/rng.h"
+#include "zfnaf/format.h"
 
 namespace {
 
@@ -209,6 +210,39 @@ TEST(Traces, SynthesizedConvInputDigestsArePinned)
     EXPECT_EQ(digest(nn::synthesizeConvInput(*google, inception, 2017,
                                              &prune)),
               0x389caf38d7ad2db2ULL);
+}
+
+// The count-only synthesis must reproduce the value path's zero
+// pattern exactly: every zoo conv input, at brick sizes that divide
+// the depth, straddle segment boundaries (12) and span one element.
+// zeroOperandFraction reads the count path, so it is pinned against
+// the value-path formula too (exact doubles).
+TEST(Traces, CountOnlySynthesisMatchesValuePath)
+{
+    for (nn::zoo::NetId id : nn::zoo::allNetworks()) {
+        const auto net = nn::zoo::build(id, 2016);
+        for (std::uint64_t seed : {2016ULL, 7ULL}) {
+            double weightedZero = 0.0;
+            double totalMacs = 0.0;
+            for (int node : net->convNodeIds()) {
+                const NeuronTensor values =
+                    nn::synthesizeConvInput(*net, node, seed);
+                for (int brick : {1, 12, 16, 32})
+                    EXPECT_EQ(nn::synthesizeConvInputCounts(*net, node, seed,
+                                                            brick),
+                              zfnaf::nonZeroCountMap(values, brick))
+                        << net->name() << ' ' << net->node(node).name
+                        << " seed " << seed << " brick " << brick;
+                const double macs =
+                    static_cast<double>(net->node(node).macs());
+                weightedZero += tensor::zeroFraction(values) * macs;
+                totalMacs += macs;
+            }
+            EXPECT_EQ(nn::zeroOperandFraction(*net, seed),
+                      weightedZero / totalMacs)
+                << net->name() << " seed " << seed;
+        }
+    }
 }
 
 TEST(Traces, ZeroOperandFractionStableAcrossImages)

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "sim/rng.h"
 
@@ -99,6 +101,51 @@ TEST(Rng, ForkedStreamsAreIndependentAndDeterministic)
     Rng c1again = parent.fork(1);
     EXPECT_EQ(c1.next(), c1again.next());
     EXPECT_NE(c1.next(), c2.next());
+}
+
+// skipNormal() must consume exactly the draws normal() would, at
+// either parity of the cached Box-Muller pair: every interleaving of
+// normal/skipNormal calls (after 0 or 1 leading normal()) leaves the
+// stream where an all-normal() run leaves it, and every normal() in
+// between, including the sine half of a pair whose cosine half was
+// skipped, returns the bit-identical deviate.
+TEST(Rng, SkipNormalLeavesStreamWhereNormalWould)
+{
+    constexpr int kSteps = 6;
+    for (std::uint64_t seed : {1ULL, 42ULL, 2016ULL}) {
+        for (int lead = 0; lead < 2; ++lead) {
+            for (unsigned pattern = 0; pattern < (1u << kSteps);
+                 ++pattern) {
+                Rng ref(seed), rng(seed);
+                for (int i = 0; i < lead; ++i)
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal()),
+                              std::bit_cast<std::uint64_t>(ref.normal()));
+                for (int step = 0; step < kSteps; ++step) {
+                    const double expected = ref.normal();
+                    if (pattern & (1u << step)) {
+                        rng.skipNormal();
+                    } else {
+                        EXPECT_EQ(std::bit_cast<std::uint64_t>(rng.normal()),
+                                  std::bit_cast<std::uint64_t>(expected))
+                            << "seed " << seed << " lead " << lead
+                            << " pattern " << pattern << " step " << step;
+                    }
+                }
+                EXPECT_EQ(rng.next(), ref.next())
+                    << "seed " << seed << " lead " << lead << " pattern "
+                    << pattern;
+            }
+        }
+    }
+
+    // The explicit case: skipping a pair's cosine half leaves its
+    // sine half pending, bit-identical to the eager one.
+    Rng eager(7), lazy(7);
+    eager.normal();
+    lazy.skipNormal();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lazy.normal()),
+              std::bit_cast<std::uint64_t>(eager.normal()));
+    EXPECT_EQ(lazy.next(), eager.next());
 }
 
 } // namespace

@@ -11,7 +11,8 @@ assert that a named stat appears somewhere in the tree (used to pin
 the cnv2 columns into the committed figure). With ``--host-profile``
 the artifact must additionally carry a populated ``hostProfile``
 block (docs/observability.md, "Host telemetry"): positive
-``totalSeconds``, at least one trace-cache tensor miss, and a
+``totalSeconds``, ScopedPhase timers covering at least 90% of it
+(``phaseCoverage``), at least one trace-cache count-map miss, and a
 non-empty worker table — the fields the perf-regression gate reads.
 
 Usage: check_bench_artifact.py ARTIFACT.json [--require KEY ...]
@@ -26,6 +27,9 @@ import sys
 
 MANIFEST_FIELDS = ("tool", "gitSha", "version", "images", "seed",
                    "weightSparsity")
+
+# Share of hostProfile.totalSeconds the bench's phases must account for.
+MIN_PHASE_COVERAGE = 0.9
 
 
 def collect_keys(node: object, out: set[str]) -> None:
@@ -83,10 +87,15 @@ def main(argv: list[str]) -> int:
         else:
             if not hp.get("totalSeconds", 0) > 0:
                 problems.append("hostProfile.totalSeconds is not > 0")
-            cache = hp.get("traceCache", {})
-            if not cache.get("tensorMisses", 0) > 0:
+            coverage = hp.get("phaseCoverage", 0)
+            if not coverage >= MIN_PHASE_COVERAGE:
                 problems.append(
-                    "hostProfile.traceCache.tensorMisses is not > 0")
+                    f"hostProfile.phaseCoverage {coverage!r} < "
+                    f"{MIN_PHASE_COVERAGE}")
+            cache = hp.get("traceCache", {})
+            if not cache.get("countMapMisses", 0) > 0:
+                problems.append(
+                    "hostProfile.traceCache.countMapMisses is not > 0")
             if "hitRate" not in cache:
                 problems.append("hostProfile.traceCache.hitRate missing")
             workers = hp.get("pool", {}).get("workers", {})

@@ -14,9 +14,10 @@ contract (docs/observability.md, "Host telemetry"):
     manifest fields;
   * phase coverage — the ScopedPhase timers account for >= 90% of
     hostProfile.totalSeconds (nothing substantial un-instrumented);
-  * trace cache — tensorMisses > 0, countMapHits > 0 (cnv and cnv2
-    share one count-map entry, so a multi-arch run must hit), and
-    hitRate present and in (0, 1];
+  * trace cache — countMapMisses > 0, countMapHits > 0 (cnv and cnv2
+    share one count-map entry, so a multi-arch run must hit), no
+    tensor lookup (an unpruned synthetic run is served count-first),
+    and hitRate present and in (0, 1];
   * pool — at least two worker lanes (caller + worker0 at --jobs 4),
     each with utilization in [0, 1].
 
@@ -85,8 +86,13 @@ def main(argv: list[str]) -> int:
         problems.append("phaseCoverage disagrees with the phases table")
 
     cache = hp.get("traceCache", {})
-    if not cache.get("tensorMisses", 0) > 0:
-        problems.append("traceCache.tensorMisses is not > 0")
+    if not cache.get("countMapMisses", 0) > 0:
+        problems.append("traceCache.countMapMisses is not > 0")
+    # An unpruned synthetic run is served count-first: no value
+    # tensor is built, so no tensor lookup is counted.
+    if cache.get("tensorHits", -1) != 0 or cache.get("tensorMisses", -1) != 0:
+        problems.append("traceCache tensor lookups are not 0 — an "
+                        "unpruned synthetic run must be count-first")
     if not cache.get("countMapHits", 0) > 0:
         problems.append("traceCache.countMapHits is not > 0 — cnv and "
                         "cnv2 must share one cached count map")
