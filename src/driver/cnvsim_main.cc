@@ -294,15 +294,17 @@ selectedArchs(const CliOptions &opts)
     return arch::builtin().select(opts.archs);
 }
 
+/** Whether --report-json or --report-csv asked for a run report. */
+bool
+wantsReport(const CliOptions &opts)
+{
+    return !opts.reportJson.empty() || !opts.reportCsv.empty();
+}
+
 /** Write one run report to the paths requested on the command line. */
 void
-writeReports(const CliOptions &opts, const driver::ExperimentConfig &cfg,
-             const nn::Network &net,
-             const std::vector<const arch::ArchModel *> &archs)
+writeReports(const CliOptions &opts, driver::RunReport report)
 {
-    if (opts.reportJson.empty() && opts.reportCsv.empty())
-        return;
-    driver::RunReport report = driver::buildRunReport(cfg, net, archs);
     report.manifest.wallSeconds = sim::metrics().secondsSinceEnable();
     auto open = [](const std::string &path) {
         std::ofstream os(path);
@@ -420,11 +422,13 @@ cmdRun(nn::zoo::NetId id, const CliOptions &opts)
     const auto &ref = *archs.front();
 
     // Single-image per-layer timelines, one run per selected arch
-    // (also reused by --stats below). The cache is shared with the
-    // aggregate sweep so each image's trace is synthesized once.
+    // (also reused by --stats and the report below). The cache is
+    // shared with the aggregate sweep so each image's trace is
+    // synthesized once; simulating the timelines first gives the
+    // report the cache counters buildRunReport() would.
     timing::TraceCache cache;
     std::vector<driver::ArchTimeline> timelines;
-    if (opts.layers || opts.stats) {
+    if (opts.layers || opts.stats || wantsReport(opts)) {
         const sim::ScopedPhase phase("timing");
         timelines =
             driver::simulateTimelines(cfg, *net, archs, nullptr, cache);
@@ -484,7 +488,11 @@ cmdRun(nn::zoo::NetId id, const CliOptions &opts)
         for (const driver::ArchTimeline &tl : timelines)
             driver::buildStats(tl.result, *tl.model)->dump(std::cout);
 
-    writeReports(opts, cfg, *net, archs);
+    if (wantsReport(opts))
+        writeReports(opts, driver::makeRunReport(cfg, *net,
+                                                 std::move(timelines),
+                                                 std::move(report),
+                                                 cache.stats()));
     return 0;
 }
 

@@ -215,11 +215,10 @@ simulateTimelines(const ExperimentConfig &cfg, const nn::Network &net,
 }
 
 RunReport
-buildRunReport(const ExperimentConfig &cfg, const nn::Network &net,
-               const std::vector<const arch::ArchModel *> &archs,
-               const nn::PruneConfig *prune)
+makeRunReport(const ExperimentConfig &cfg, const nn::Network &net,
+              std::vector<ArchTimeline> timelines, NetworkReport aggregate,
+              const timing::TraceCache::Stats &cacheStats)
 {
-    CNV_ASSERT(!archs.empty(), "need at least one architecture");
     RunReport report;
     report.manifest = makeManifest("cnvsim");
     report.manifest.network = net.name();
@@ -228,14 +227,27 @@ buildRunReport(const ExperimentConfig &cfg, const nn::Network &net,
     report.manifest.seed = cfg.seed;
     report.manifest.weightSparsity = cfg.weightSparsity;
     report.manifest.mem = mem::kindName(cfg.memKind);
+    report.timelines = std::move(timelines);
+    report.aggregate = std::move(aggregate);
+    report.cacheStats = cacheStats;
+    return report;
+}
 
+RunReport
+buildRunReport(const ExperimentConfig &cfg, const nn::Network &net,
+               const std::vector<const arch::ArchModel *> &archs,
+               const nn::PruneConfig *prune)
+{
+    CNV_ASSERT(!archs.empty(), "need at least one architecture");
     // The timelines and the aggregate share one cache, so the
     // report's counters reflect the whole run's reuse.
     timing::TraceCache cache;
-    report.timelines = simulateTimelines(cfg, net, archs, prune, cache);
-    report.aggregate = evaluateNetworkArchs(cfg, net, archs, prune, &cache);
-    report.cacheStats = cache.stats();
-    return report;
+    std::vector<ArchTimeline> timelines =
+        simulateTimelines(cfg, net, archs, prune, cache);
+    NetworkReport aggregate =
+        evaluateNetworkArchs(cfg, net, archs, prune, &cache);
+    return makeRunReport(cfg, net, std::move(timelines),
+                         std::move(aggregate), cache.stats());
 }
 
 RunReport

@@ -81,6 +81,20 @@ struct RunReport
 };
 
 /**
+ * Assemble a RunReport from results already simulated: the
+ * simulateTimelines() timelines, the evaluateNetworkArchs()
+ * aggregate and the stats of the cache both used. Simulate the
+ * timelines first, as buildRunReport() does, for the same cache
+ * counters. The build provenance fields are filled via
+ * makeManifest(); the caller fills manifest.tool and
+ * manifest.wallSeconds.
+ */
+RunReport makeRunReport(const ExperimentConfig &cfg, const nn::Network &net,
+                        std::vector<ArchTimeline> timelines,
+                        NetworkReport aggregate,
+                        const timing::TraceCache::Stats &cacheStats);
+
+/**
  * Evaluate `net` on the selected architectures and assemble a
  * RunReport. The caller fills manifest.tool and
  * manifest.wallSeconds (the build provenance fields are filled here

@@ -290,33 +290,54 @@ calibrateChannel(std::vector<double> &values, double zeroTarget,
 ForwardResult
 Network::forward(const NeuronTensor &input, const ForwardOptions &opts) const
 {
-    ForwardResult result;
-    result.outputs.resize(nodes_.size());
+    return finish(begin(input), opts);
+}
+
+ForwardState
+Network::begin(const NeuronTensor &input) const
+{
+    ForwardState state;
+    state.input = input;
+    state.outputs.resize(nodes_.size());
+    // Remaining-use counts let advance() drop intermediate tensors
+    // early.
+    state.uses.assign(nodes_.size(), 0);
+    for (const Node &n : nodes_)
+        for (int in : n.inputs)
+            ++state.uses[in];
+    return state;
+}
+
+void
+Network::advance(ForwardState &state, const ForwardOptions &opts,
+                 int untilNode) const
+{
+    CNV_ASSERT(state.outputs.size() == nodes_.size(),
+               "forward state belongs to another network");
+    CNV_ASSERT(state.next <= untilNode && untilNode <= nodeCount(),
+               "cannot advance a forward pass from node {} to {}",
+               state.next, untilNode);
 
     // One arena serves every conv layer's staging buffers; reset
     // per layer keeps the footprint at the largest single layer.
     core::Arena arena;
+    auto &outputs = state.outputs;
 
-    // Remaining-use counts let us drop intermediate tensors early.
-    std::vector<int> uses(nodes_.size(), 0);
-    for (const Node &n : nodes_)
-        for (int in : n.inputs)
-            ++uses[in];
-
-    for (int id = 0; id < nodeCount(); ++id) {
+    for (; state.next < untilNode; ++state.next) {
+        const int id = state.next;
         const Node &n = nodes_[id];
         NeuronTensor out;
         switch (n.kind) {
           case NodeKind::Input:
-            if (input.shape() != n.outShape)
+            if (state.input.shape() != n.outShape)
                 CNV_FATAL("network '{}' expects input {}x{}x{}", name_,
                           n.outShape.x, n.outShape.y, n.outShape.z);
-            out = input;
+            out = state.input;
             break;
           case NodeKind::Conv:
             arena.reset();
-            out = conv2d(*result.outputs[n.inputs[0]], weightsOf(id),
-                         biasOf(id), n.conv, arena);
+            out = conv2d(*outputs[n.inputs[0]], weightsOf(id), biasOf(id),
+                         n.conv, arena);
             if (opts.prune) {
                 applyThreshold(
                     out, opts.prune->forConvIndex(
@@ -324,42 +345,52 @@ Network::forward(const NeuronTensor &input, const ForwardOptions &opts) const
             }
             break;
           case NodeKind::Pool:
-            out = pool2d(*result.outputs[n.inputs[0]], n.pool);
+            out = pool2d(*outputs[n.inputs[0]], n.pool);
             break;
           case NodeKind::Lrn:
-            out = lrn(*result.outputs[n.inputs[0]], n.lrnParams);
+            out = lrn(*outputs[n.inputs[0]], n.lrnParams);
             break;
           case NodeKind::Fc:
-            out = fullyConnected(*result.outputs[n.inputs[0]], weightsOf(id),
+            out = fullyConnected(*outputs[n.inputs[0]], weightsOf(id),
                                  biasOf(id), n.fc);
             break;
           case NodeKind::Concat: {
             std::vector<const NeuronTensor *> ins;
             ins.reserve(n.inputs.size());
             for (int in : n.inputs)
-                ins.push_back(&*result.outputs[in]);
+                ins.push_back(&*outputs[in]);
             out = concat(ins);
             break;
           }
           case NodeKind::Softmax:
             // Top-1 is decided on the logits: the quantised softmax
             // output can flatten small differences.
-            result.logits = *result.outputs[n.inputs[0]];
-            result.top1 = argmax(result.logits);
-            out = softmax(*result.outputs[n.inputs[0]]);
+            state.logits = *outputs[n.inputs[0]];
+            state.top1 = argmax(state.logits);
+            out = softmax(*outputs[n.inputs[0]]);
             break;
         }
-        result.outputs[id] = std::move(out);
+        outputs[id] = std::move(out);
 
         if (!opts.keepAll) {
             for (int in : n.inputs) {
-                if (--uses[in] == 0)
-                    result.outputs[in].reset();
+                if (--state.uses[in] == 0)
+                    outputs[in].reset();
             }
         }
     }
+}
 
+ForwardResult
+Network::finish(ForwardState state, const ForwardOptions &opts) const
+{
+    advance(state, opts, nodeCount());
+
+    ForwardResult result;
+    result.outputs = std::move(state.outputs);
     result.final = *result.outputs.back();
+    result.logits = std::move(state.logits);
+    result.top1 = state.top1;
     if (result.top1 < 0) {
         result.logits = result.final;
         if (result.final.shape().x == 1 && result.final.shape().y == 1)

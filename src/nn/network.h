@@ -106,8 +106,33 @@ struct ForwardResult
 };
 
 /**
+ * A forward pass in flight: the nodes before `next` have run and
+ * every output a later node still needs is held. Copying a state
+ * forks the pass, so a caller that varies only nodes from `next` on
+ * (a pruning threshold search) can finish many variants from one
+ * shared prefix. Made by Network::begin(); only meaningful for the
+ * network that made it.
+ */
+struct ForwardState
+{
+    /** The image fed to the Input node. */
+    tensor::NeuronTensor input;
+    /** Output per node id; released once its last consumer has run
+     *  unless the pass keeps all outputs. */
+    std::vector<std::optional<tensor::NeuronTensor>> outputs;
+    /** Consumers of each node that have not run yet. */
+    std::vector<int> uses;
+    /** First node that has not run. */
+    int next = 0;
+    /** Softmax input and its top-1, set once the softmax node ran. */
+    tensor::NeuronTensor logits;
+    int top1 = -1;
+};
+
+/**
  * A DNN as a DAG of nodes. Build with the add* methods (they
- * validate shapes eagerly), then run with forward().
+ * validate shapes eagerly), then run with forward(), or in steps
+ * with begin() / advance() / finish().
  */
 class Network
 {
@@ -143,6 +168,23 @@ class Network
      */
     ForwardResult forward(const tensor::NeuronTensor &input,
                           const ForwardOptions &opts = {}) const;
+
+    /** A forward pass over `input` with no node run yet. */
+    ForwardState begin(const tensor::NeuronTensor &input) const;
+
+    /**
+     * Run nodes [state.next, untilNode) under `opts`, leaving
+     * state.next == untilNode. Each node sees the options of the
+     * call that runs it, so a pass advanced in steps matches
+     * forward() when every step uses the same options; a node whose
+     * outputs were released (keepAll off) stays released.
+     */
+    void advance(ForwardState &state, const ForwardOptions &opts,
+                 int untilNode) const;
+
+    /** Run the remaining nodes and return the pass's result. */
+    ForwardResult finish(ForwardState state,
+                         const ForwardOptions &opts) const;
 
     /**
      * Calibrate conv/fc biases so each node's post-ReLU output zero

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "nn/trace.h"
 #include "sim/logging.h"
@@ -79,22 +80,19 @@ predictionPreserved(const Reference &ref, const nn::ForwardResult &run,
 
 /**
  * Fraction of images whose pruned prediction matches the reference.
- * Each image's forward pass runs on the pool, reusing the input
- * tensor stored with its reference.
+ * `run(i)` produces image i's pruned forward pass; the images run
+ * on the pool.
  */
+template <typename Run>
 double
-agreementFraction(const Network &net, const std::vector<Reference> &refs,
-                  const PruneConfig &cfg, double tolerance)
+agreementFraction(const std::vector<Reference> &refs, double tolerance,
+                  Run &&run)
 {
-    nn::ForwardOptions opts;
-    opts.prune = &cfg;
     int agree = 0;
     sim::parallelMapReduce(
         refs.size(),
         [&](std::size_t i) {
-            return predictionPreserved(refs[i],
-                                       net.forward(refs[i].input, opts),
-                                       tolerance);
+            return predictionPreserved(refs[i], run(i), tolerance);
         },
         [&](std::size_t, bool preserved) {
             if (preserved)
@@ -103,6 +101,21 @@ agreementFraction(const Network &net, const std::vector<Reference> &refs,
     return static_cast<double>(agree) / static_cast<double>(refs.size());
 }
 
+/** Agreement of `cfg` with full forward passes from each image. */
+double
+agreementFromImages(const Network &net, const std::vector<Reference> &refs,
+                    const PruneConfig &cfg, double tolerance)
+{
+    nn::ForwardOptions opts;
+    opts.prune = &cfg;
+    return agreementFraction(refs, tolerance, [&](std::size_t i) {
+        return net.forward(refs[i].input, opts);
+    });
+}
+
+/** The relativeAccuracy() distortion tolerance. */
+constexpr double kDefaultTolerance = 0.05;
+
 } // namespace
 
 double
@@ -110,8 +123,8 @@ relativeAccuracy(const Network &net, const PruneConfig &cfg, int images,
                  std::uint64_t seed)
 {
     CNV_ASSERT(images > 0, "need at least one accuracy image");
-    const std::vector<Reference> refs = referenceRuns(net, images, seed);
-    return agreementFraction(net, refs, cfg, 0.05);
+    return agreementFromImages(net, referenceRuns(net, images, seed), cfg,
+                               kDefaultTolerance);
 }
 
 std::vector<std::vector<int>>
@@ -149,31 +162,62 @@ searchLossless(const dadiannao::NodeConfig &cfg, const Network &fullNet,
 
     PruneConfig current;
     current.thresholds.assign(convs, opts.levels.front());
+    nn::ForwardOptions underCurrent;
+    underCurrent.prune = &current;
 
+    // A candidate differs from `current` only at its group's convs,
+    // so every node before the group's first conv computes the same
+    // activations for all of the group's candidates. Each image keeps
+    // one forward pass advanced under `current` to that point, and a
+    // candidate finishes a copy of it. A prefix never covers a conv
+    // whose threshold may still change: thresholds change only in the
+    // group being searched, which lies at or after the prefix's end.
+    std::vector<nn::ForwardState> states;
+    states.reserve(refs.size());
+    for (const Reference &ref : refs)
+        states.push_back(accNet.begin(ref.input));
     auto accuracyOf = [&](const PruneConfig &candidate) {
-        return agreementFraction(accNet, refs, candidate,
-                                 opts.distortionTolerance);
+        nn::ForwardOptions pruned;
+        pruned.prune = &candidate;
+        return agreementFraction(
+            refs, opts.distortionTolerance,
+            [&](std::size_t i) { return accNet.finish(states[i], pruned); });
     };
 
     // Greedy coordinate ascent: deeper layers tolerate larger
     // thresholds, so walk the ladder per group while the joint
     // configuration stays above the accuracy floor.
+    std::optional<double> currentAccuracy;
     for (const std::vector<int> &group : groups) {
+        int firstConv = accNet.nodeCount();
+        for (int layer : group)
+            firstConv = std::min(firstConv, accNet.convNodeIds().at(layer));
+        sim::parallelFor(states.size(), [&](std::size_t i) {
+            // A custom group order can need an earlier node than the
+            // pass has reached: restart that pass from its image.
+            if (states[i].next > firstConv)
+                states[i] = accNet.begin(refs[i].input);
+            accNet.advance(states[i], underCurrent, firstConv);
+        });
+
         std::size_t level = 0;
         while (level + 1 < opts.levels.size()) {
             PruneConfig candidate = current;
             for (int layer : group)
                 candidate.thresholds[layer] = opts.levels[level + 1];
-            if (accuracyOf(candidate) + 1e-12 < opts.accuracyFloor)
+            const double accuracy = accuracyOf(candidate);
+            if (accuracy + 1e-12 < opts.accuracyFloor)
                 break;
             current = candidate;
+            currentAccuracy = accuracy;
             ++level;
         }
     }
 
     ExplorationPoint point;
     point.config = current;
-    point.relativeAccuracy = accuracyOf(current);
+    point.relativeAccuracy =
+        currentAccuracy ? *currentAccuracy : accuracyOf(current);
     point.speedup = timing::speedup(cfg, fullNet, opts.timingImages,
                                     opts.seed, &current);
     return point;
@@ -217,12 +261,16 @@ tradeoffSweep(const dadiannao::NodeConfig &cfg, const Network &fullNet,
         candidates.push_back(std::move(c));
     }
 
+    // Every candidate is scored against the same unpruned references.
+    CNV_ASSERT(opts.accuracyImages > 0, "need at least one accuracy image");
+    const std::vector<Reference> refs =
+        referenceRuns(accNet, opts.accuracyImages, opts.seed);
     std::vector<ExplorationPoint> points;
     points.reserve(candidates.size());
     for (PruneConfig &c : candidates) {
         ExplorationPoint pt;
         pt.relativeAccuracy =
-            relativeAccuracy(accNet, c, opts.accuracyImages, opts.seed);
+            agreementFromImages(accNet, refs, c, kDefaultTolerance);
         pt.speedup = timing::speedup(cfg, fullNet, opts.timingImages,
                                      opts.seed, &c);
         pt.config = std::move(c);

@@ -90,6 +90,13 @@ ThreadPool::runOneTask(Batch &batch, const LaneMetrics &lane)
     const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
     if (i >= batch.n)
         return false;
+    runTask(batch, lane, i);
+    return true;
+}
+
+void
+ThreadPool::runTask(Batch &batch, const LaneMetrics &lane, std::size_t i)
+{
     const std::uint64_t t0 = metrics().nowIfEnabled();
     std::exception_ptr error;
     try {
@@ -114,7 +121,6 @@ ThreadPool::runOneTask(Batch &batch, const LaneMetrics &lane)
         if (batch.finished == batch.n)
             batch.done.notify_all();
     }
-    return true;
 }
 
 void
@@ -169,6 +175,9 @@ ThreadPool::forEach(std::size_t n, const std::function<void(std::size_t)> &fn)
     auto batch = std::make_shared<Batch>();
     batch->n = n;
     batch->fn = &fn;
+    // The submitter claims task 0 before publishing the batch, so it
+    // runs at least one task however fast the workers drain the rest.
+    batch->next.store(1, std::memory_order_relaxed);
     {
         const core::MutexLock lock(mutex_);
         queue_.push_back(batch);
@@ -178,6 +187,7 @@ ThreadPool::forEach(std::size_t n, const std::function<void(std::size_t)> &fn)
     // The submitter drains its own batch, so even if every worker is
     // busy elsewhere (or the pool is nested) this loop alone
     // guarantees completion.
+    runTask(*batch, caller, 0);
     while (runOneTask(*batch, caller)) {
     }
     // The error slot is copied out under the batch mutex (previously

@@ -78,8 +78,10 @@ class ThreadPool
     struct LaneMetrics;
 
     void workerLoop(int index) CNV_EXCLUDES(mutex_);
-    /** Claim and run one task of `batch`, charging its wall time to
-     *  `lane`'s telemetry counters; false when exhausted. */
+    /** Run task `i` of `batch`, charging its wall time to `lane`'s
+     *  telemetry counters. */
+    void runTask(Batch &batch, const LaneMetrics &lane, std::size_t i);
+    /** Claim and run one task of `batch`; false when exhausted. */
     bool runOneTask(Batch &batch, const LaneMetrics &lane);
 
     std::vector<std::thread> workers_;

@@ -84,10 +84,14 @@ TEST(Driver, SpeedupAverages)
     auto synthetic = [](std::uint64_t baseCycles,
                         std::uint64_t cnvCycles) {
         driver::NetworkReport r;
-        r.archs.push_back(
-            {&arch::builtin().get("dadiannao"), baseCycles, {}, {}});
-        r.archs.push_back(
-            {&arch::builtin().get("cnv"), cnvCycles, {}, {}});
+        auto add = [&r](const char *id, std::uint64_t cycles) {
+            driver::ArchAggregate agg;
+            agg.model = &arch::builtin().get(id);
+            agg.cycles = cycles;
+            r.archs.push_back(agg);
+        };
+        add("dadiannao", baseCycles);
+        add("cnv", cnvCycles);
         return r;
     };
     const std::vector<driver::NetworkReport> reports{

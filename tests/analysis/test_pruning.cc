@@ -105,6 +105,64 @@ TEST(Pruning, LosslessSearchFindsNonTrivialThresholds)
     EXPECT_GT(maxT, 0);
 }
 
+/**
+ * The greedy search spelled out over relativeAccuracy(), which
+ * re-scores every candidate with full forward passes from the image.
+ */
+pruning::ExplorationPoint
+oracleSearch(const nn::Network &net, const pruning::SearchOptions &opts,
+             const std::vector<std::vector<int>> &groups)
+{
+    auto accuracyOf = [&](const nn::PruneConfig &c) {
+        return pruning::relativeAccuracy(net, c, opts.accuracyImages,
+                                         opts.seed);
+    };
+    pruning::ExplorationPoint point;
+    point.config.thresholds.assign(net.convLayerCount(), opts.levels[0]);
+    for (const std::vector<int> &group : groups) {
+        for (std::size_t level = 1; level < opts.levels.size(); ++level) {
+            nn::PruneConfig candidate = point.config;
+            for (int layer : group)
+                candidate.thresholds[layer] = opts.levels[level];
+            if (accuracyOf(candidate) + 1e-12 < opts.accuracyFloor)
+                break;
+            point.config = candidate;
+        }
+    }
+    point.relativeAccuracy = accuracyOf(point.config);
+    return point;
+}
+
+void
+expectSearchMatchesOracle(nn::zoo::NetId id,
+                          std::vector<std::vector<int>> layerGroups)
+{
+    auto net = nn::zoo::build(id, 3, 16);
+    net->calibrate();
+    pruning::SearchOptions opts;
+    opts.accuracyImages = 6;
+    opts.layerGroups = layerGroups;
+    if (layerGroups.empty())
+        layerGroups = pruning::thresholdGroups(*net);
+
+    const auto found = pruning::searchLossless({}, *net, *net, opts);
+    const auto oracle = oracleSearch(*net, opts, layerGroups);
+    EXPECT_EQ(found.config.thresholds, oracle.config.thresholds);
+    EXPECT_EQ(found.relativeAccuracy, oracle.relativeAccuracy);
+    // The comparison is only telling if the search moved.
+    EXPECT_TRUE(oracle.config.prunesValues());
+}
+
+TEST(Pruning, SearchMatchesFullForwardOracle)
+{
+    expectSearchMatchesOracle(nn::zoo::NetId::Alex, {});
+    expectSearchMatchesOracle(nn::zoo::NetId::Google, {});
+    // Out-of-order groups send the search back to an earlier node
+    // than its passes have reached, so they restart from the image.
+    expectSearchMatchesOracle(nn::zoo::NetId::Alex,
+                              {{3}, {1, 4}, {2}, {0}});
+}
+
 TEST(Pruning, TradeoffSweepProducesOrderedPoints)
 {
     auto accNet = nn::zoo::build(nn::zoo::NetId::Alex, 3, 16);

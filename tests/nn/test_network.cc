@@ -4,6 +4,8 @@
 
 #include "nn/network.h"
 #include "nn/ops.h"
+#include "nn/trace.h"
+#include "nn/zoo/zoo.h"
 #include "sim/error.h"
 #include "sim/logging.h"
 #include "sim/rng.h"
@@ -154,6 +156,51 @@ TEST(Network, WrongInputShapeIsFatal)
     net.addInput({4, 4, 8});
     EXPECT_THROW(net.forward(NeuronTensor(3, 3, 8)), sim::FatalError);
     sim::setVerbosity(sim::Verbosity::Info);
+}
+
+TEST(Network, ResumedForwardMatchesForward)
+{
+    // One pass advanced conv by conv, finished from a copy at every
+    // conv node, must reproduce forward() bit for bit.
+    auto net = nn::zoo::build(nn::zoo::NetId::Google, 5, 16);
+    net->calibrate();
+    sim::Rng rng(17);
+    nn::PruneConfig cfg;
+    for (int i = 0; i < net->convLayerCount(); ++i)
+        cfg.thresholds.push_back(
+            static_cast<std::int32_t>(1 << rng.uniformInt(0, 7)));
+    const NeuronTensor image =
+        nn::synthesizeImage(net->node(0).outShape, 23);
+
+    for (const bool keepAll : {false, true}) {
+        nn::ForwardOptions opts;
+        opts.prune = &cfg;
+        opts.keepAll = keepAll;
+        const nn::ForwardResult whole = net->forward(image, opts);
+        nn::ForwardState state = net->begin(image);
+        for (const int id : net->convNodeIds()) {
+            net->advance(state, opts, id);
+            ASSERT_EQ(state.next, id);
+            const nn::ForwardResult resumed = net->finish(state, opts);
+            EXPECT_EQ(resumed.final, whole.final) << "resumed at " << id;
+            EXPECT_EQ(resumed.logits, whole.logits) << "resumed at " << id;
+            EXPECT_EQ(resumed.top1, whole.top1) << "resumed at " << id;
+            ASSERT_EQ(resumed.outputs.size(), whole.outputs.size());
+            for (std::size_t n = 0; n < whole.outputs.size(); ++n)
+                EXPECT_EQ(resumed.outputs[n], whole.outputs[n])
+                    << "node " << n << " resumed at " << id;
+        }
+    }
+}
+
+TEST(Network, AdvanceCannotRewind)
+{
+    nn::Network net("rewind", 1);
+    const int in = net.addInput({4, 4, 8});
+    net.addConv("c1", in, conv(8, 3));
+    nn::ForwardState state = net.begin(smoothInput({4, 4, 8}, 3));
+    net.advance(state, {}, 2);
+    EXPECT_THROW(net.advance(state, {}, 1), sim::PanicError);
 }
 
 TEST(Network, MacsCounting)

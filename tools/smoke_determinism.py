@@ -11,7 +11,7 @@ documented in docs/architecture.md ("Threading model and
 determinism"): every result, stat tree, and cache counter must be
 invariant under the worker-pool size.
 
-Three experiments run: every built-in architecture on nin under the
+Three report experiments run: every built-in architecture on nin under the
 default ideal memory model; the same sweep under ``--mem banked`` —
 the banked hierarchy's conflict, buffer and DRAM counters must be
 just as job-count-invariant as the cycle counts (one
@@ -24,6 +24,11 @@ A fourth pair runs ``cnvsim trace`` on nin over every built-in
 architecture under ``--mem banked`` and requires the ``--trace-out``
 trace-event JSON and the ``--stall-csv`` file to be byte-identical
 outright (neither carries host telemetry).
+
+A fifth pair runs the lossless threshold search, ``cnvsim prune
+google``: its per-image forward passes advance on the pool, so its
+stdout (the thresholds, speedup and accuracy) must be byte-identical
+between the two job counts.
 
 The JSON writer emits one key per line, so dropping the brace-
 balanced ``hostProfile`` block and then filtering whole lines
@@ -148,6 +153,34 @@ def compare_trace_pair(cnvsim: str, outdir: pathlib.Path) -> int:
     return failures
 
 
+def compare_prune_pair(cnvsim: str) -> int:
+    """Run ``cnvsim prune google`` at --jobs 1 and 4; 0 when identical."""
+    stdouts = {}
+    for jobs in (1, 4):
+        proc = subprocess.run(
+            [cnvsim, "prune", "google", "--seed", "2016",
+             "--jobs", str(jobs)],
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"smoke_determinism: prune --jobs {jobs} failed "
+                  f"(exit {proc.returncode}): {proc.stderr}",
+                  file=sys.stderr)
+            return 1
+        stdouts[jobs] = proc.stdout
+    if not stdouts[1].startswith("thresholds:"):
+        print("smoke_determinism: prune: no thresholds line in "
+              f"stdout: {stdouts[1]!r}", file=sys.stderr)
+        return 1
+    if stdouts[1] != stdouts[4]:
+        print("smoke_determinism: prune: stdout differs between "
+              f"--jobs 1 and --jobs 4:\n  jobs=1: {stdouts[1]!r}\n"
+              f"  jobs=4: {stdouts[4]!r}", file=sys.stderr)
+        return 1
+    print("smoke_determinism: prune: stdout byte-identical between "
+          "--jobs 1 and --jobs 4")
+    return 0
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -164,6 +197,7 @@ def main(argv: list[str]) -> int:
         cnvsim, outdir, "vgg19", "vgg19", 1,
         ["--arch", "dadiannao,cnv,cnv2"])
     failures += compare_trace_pair(cnvsim, outdir)
+    failures += compare_prune_pair(cnvsim)
     return 1 if failures else 0
 
 
