@@ -62,7 +62,8 @@ paperCnvPruned(nn::zoo::NetId id)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 2);
+    const auto opts = bench::parseArgs(
+        argc, argv, 2, bench::kJsonArtifact | bench::kTraceOut);
 
     driver::ExperimentConfig cfg;
     cfg.images = opts.images;

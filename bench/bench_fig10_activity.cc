@@ -30,7 +30,7 @@ breakdownRow(const std::string &label, const dadiannao::Activity &a,
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 2);
+    const auto opts = bench::parseArgs(argc, argv, 2, bench::kJsonArtifact);
 
     driver::ExperimentConfig cfg;
     cfg.images = opts.images;

@@ -13,12 +13,16 @@
  *   --json PATH  also write the figure's data as a JSON artifact
  *                (schema "cnv-figure-v1", see docs/observability.md)
  *   --trace-out PATH  write a Chrome trace-event JSON of the runs
- *                (honoured by benches that advertise it in --help)
  *   --jobs N     worker-pool size (default: hardware concurrency or
  *                CNVSIM_JOBS); results are job-count-invariant
  *   --mem M      memory-hierarchy model: 'ideal' (default, keeps the
  *                legacy numbers) or 'banked' (NM banking + global
  *                buffer + DRAM channel)
+ *
+ * A bench declares which of the two output files it writes and
+ * rejects the flag of any file it does not write (exit 2), rather
+ * than accept it and write nothing. --help lists only the accepted
+ * options.
  */
 
 #ifndef CNV_BENCH_COMMON_H
@@ -60,8 +64,20 @@ struct Options
     mem::Kind memKind = mem::Kind::Ideal;
 };
 
+/** Output files a bench can write; parseArgs rejects the rest. */
+enum Output : unsigned {
+    kNoOutput = 0,
+    kJsonArtifact = 1u << 0, ///< --json (writeFigureArtifact)
+    kTraceOut = 1u << 1,     ///< --trace-out
+};
+
+/**
+ * @param defaultImages --images when the flag is absent.
+ * @param outputs The Output bits this bench writes.
+ */
 inline Options
-parseArgs(int argc, char **argv, int defaultImages = 2)
+parseArgs(int argc, char **argv, int defaultImages = 2,
+          unsigned outputs = kNoOutput)
 {
     // Accept both "--flag value" and "--flag=value" spellings.
     std::vector<std::string> args;
@@ -105,13 +121,20 @@ parseArgs(int argc, char **argv, int defaultImages = 2)
                 std::exit(2);
             }
         };
-        // Output paths must name a file; an empty one would
-        // silently write nothing.
-        auto path = [&](std::string &out) {
+        // Output paths must name a file this bench writes; an empty
+        // path or an output the bench has none of would silently
+        // write nothing.
+        auto path = [&](std::string &out, Output kind) {
             out = next();
             if (out.empty()) {
                 std::cerr << "invalid value '' for " << arg
                           << " (expected an output path)\n";
+                std::exit(2);
+            }
+            if ((outputs & kind) == 0) {
+                std::cerr << "option " << arg
+                          << " is not supported by this bench (it "
+                             "writes no such file)\n";
                 std::exit(2);
             }
         };
@@ -141,17 +164,18 @@ parseArgs(int argc, char **argv, int defaultImages = 2)
             }
             opts.memKind = *kind;
         } else if (arg == "--json") {
-            path(opts.json);
+            path(opts.json, kJsonArtifact);
         } else if (arg == "--trace-out") {
-            path(opts.traceOut);
+            path(opts.traceOut, kTraceOut);
         } else if (arg == "--csv") {
             opts.csv = true;
         } else if (arg == "--quick") {
             opts.quick = true;
         } else if (arg == "--help") {
             std::cout << "options: --images N --seed S --csv --quick "
-                         "--json PATH --trace-out PATH --jobs N "
-                         "--mem ideal|banked\n";
+                      << ((outputs & kJsonArtifact) ? "--json PATH " : "")
+                      << ((outputs & kTraceOut) ? "--trace-out PATH " : "")
+                      << "--jobs N --mem ideal|banked\n";
             std::exit(0);
         } else {
             std::cerr << "unknown option " << arg << '\n';

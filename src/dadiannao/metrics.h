@@ -112,7 +112,7 @@ enum class StallReason : std::uint8_t {
      *  group's compute (`--mem banked`, mem::GlobalBuffer). */
     GbMiss,
     /** Whole node idle on an off-chip activation spill past the NM
-     *  capacity (`--mem banked`, mem::DramChannel). */
+     *  capacity (`--mem banked`, mem::BankedMemory). */
     DramWait,
 };
 

@@ -2,93 +2,63 @@
 
 #include <algorithm>
 
-#include "mem/fifo.h"
 #include "sim/logging.h"
 
 namespace cnv::mem {
 
 BankedNm::BankedNm(int banks, bool slicedFetch)
-    : banks_(banks), slicedFetch_(slicedFetch)
+    : banks_(static_cast<std::uint64_t>(banks)),
+      bankOf_(static_cast<std::uint64_t>(banks)), slicedFetch_(slicedFetch)
 {
     CNV_ASSERT(banks > 0, "banked NM needs at least one bank, got {}",
                banks);
 }
 
 std::uint64_t
-BankedNm::serveGroup(const std::vector<Access> &fetches)
+BankedNm::serveGroup(std::span<const Access> fetches)
 {
-    if (fetches.empty())
+    accesses_ += fetches.size();
+    // The baseline's single unit-wide pointer is one stream: one
+    // bank access per cycle, trivially conflict-free.
+    if (!slicedFetch_)
         return 0;
 
-    // One in-order fetch stream per slice pointer; the baseline's
-    // single unit-wide pointer is one stream and trivially
-    // conflict-free (one bank access per cycle).
-    int streams = 1;
-    if (slicedFetch_) {
-        for (const Access &f : fetches)
-            streams = std::max(streams, f.lane + 1);
-    }
-    std::vector<Fifo<int>> queue;
-    queue.reserve(static_cast<std::size_t>(streams));
-    for (int s = 0; s < streams; ++s)
-        queue.emplace_back(fetches.size());
+    // A fetch's round is its index in its lane's stream, so the
+    // longest stream sets the round count; then count the heads
+    // every bank serves in every round.
     for (const Access &f : fetches) {
-        const int s = slicedFetch_ ? f.lane : 0;
-        CNV_ASSERT(s >= 0 && s < streams, "fetch lane {} out of range", s);
-        const bool ok = queue[static_cast<std::size_t>(s)].push(
-            static_cast<int>(f.address % static_cast<std::uint64_t>(banks_)));
-        CNV_ASSERT(ok, "slice fetch queue overflowed");
+        CNV_ASSERT(f.lane >= 0 && f.lane < kMaxLanes,
+                   "fetch lane {} out of range", f.lane);
+        ++laneFetches_[static_cast<std::size_t>(f.lane)];
+    }
+    const std::size_t rounds =
+        *std::max_element(laneFetches_.begin(), laneFetches_.end());
+    laneFetches_.fill(0);
+    if (roundBank_.size() < rounds * banks_)
+        roundBank_.resize(rounds * banks_, 0);
+    for (const Access &f : fetches) {
+        const std::size_t round =
+            laneFetches_[static_cast<std::size_t>(f.lane)]++;
+        ++roundBank_[round * banks_ + bankOf_(f.address)];
     }
 
-    // Replay rounds: every non-empty stream presents its head; a
-    // bank with n heads serialises them over n cycles, so the round
-    // takes the max per-bank count and the excess past one cycle is
-    // the conflict cost.
+    // A bank with n heads serialises them over n cycles, so a round
+    // takes its busiest bank's count and the excess past one cycle
+    // is the conflict cost. Every round up to the longest stream's
+    // length has at least one head. Rows are cleared as they are read.
     std::uint64_t conflict = 0;
-    std::vector<std::uint32_t> perBank(static_cast<std::size_t>(banks_));
-    bool any = true;
-    while (any) {
-        any = false;
-        std::fill(perBank.begin(), perBank.end(), 0u);
-        for (Fifo<int> &q : queue) {
-            if (q.empty())
-                continue;
-            ++perBank[static_cast<std::size_t>(q.front())];
-            q.pop();
-            any = true;
+    for (std::size_t r = 0; r < rounds; ++r) {
+        std::uint32_t *row = roundBank_.data() + r * banks_;
+        std::uint32_t busiest = 0;
+        for (std::uint64_t b = 0; b < banks_; ++b) {
+            busiest = std::max(busiest, row[b]);
+            row[b] = 0;
         }
-        if (!any)
-            break;
-        const std::uint32_t busiest =
-            *std::max_element(perBank.begin(), perBank.end());
         conflict += busiest - 1;
     }
-
-    core::MutexLock lock(mu_);
-    accesses_ += fetches.size();
+    laneFetches_.fill(0);
     conflictCycles_ += conflict;
     return conflict;
-}
-
-void
-BankedNm::addSequential(std::uint64_t reads)
-{
-    core::MutexLock lock(mu_);
-    accesses_ += reads;
-}
-
-std::uint64_t
-BankedNm::accesses() const
-{
-    core::MutexLock lock(mu_);
-    return accesses_;
-}
-
-std::uint64_t
-BankedNm::conflictCycles() const
-{
-    core::MutexLock lock(mu_);
-    return conflictCycles_;
 }
 
 } // namespace cnv::mem

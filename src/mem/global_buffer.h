@@ -12,11 +12,11 @@
 #ifndef CNV_MEM_GLOBAL_BUFFER_H
 #define CNV_MEM_GLOBAL_BUFFER_H
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/sync.h"
-#include "core/thread_annotations.h"
 #include "mem/memory_model.h"
 
 namespace cnv::mem {
@@ -25,41 +25,48 @@ namespace cnv::mem {
 class GlobalBuffer
 {
   public:
-    /** @param lines Capacity in brick lines (> 0). */
+    /** @param lines Capacity in brick lines (> 0); address A maps to
+     *        slot A % lines. */
     explicit GlobalBuffer(std::uint64_t lines);
 
     /**
      * Look up one group's fetches; hits are absorbed, misses are
      * installed (evicting any resident line mapped to the same
-     * slot) and appended to `misses` for the NM to serve. Returns
-     * the number of misses appended.
+     * slot) and written in order to the front of `misses` for the
+     * NM to serve. `misses` must hold at least fetches.size()
+     * entries. Returns the number of misses written.
      */
-    std::uint64_t filterGroup(const std::vector<Access> &fetches,
-                              std::vector<Access> &misses)
-        CNV_EXCLUDES(mu_);
+    std::size_t filterGroup(std::span<const Access> fetches,
+                            std::span<Access> misses);
 
     /** Drop every resident line (layer epoch boundary). */
-    void invalidate() CNV_EXCLUDES(mu_);
-
-    std::uint64_t hits() const CNV_EXCLUDES(mu_);
-    std::uint64_t misses() const CNV_EXCLUDES(mu_);
-    std::uint64_t evictions() const CNV_EXCLUDES(mu_);
+    void invalidate();
 
     std::uint64_t
-    lines() const
+    hits() const
     {
-        return lines_;
+        return hits_;
+    }
+
+    std::uint64_t
+    misses() const
+    {
+        return misses_;
+    }
+
+    std::uint64_t
+    evictions() const
+    {
+        return evictions_;
     }
 
   private:
-    const std::uint64_t lines_;
-
-    mutable core::Mutex mu_;
+    const Interleave slotOf_;
     /** Resident address per slot; kEmpty when the slot is free. */
-    std::vector<std::uint64_t> tag_ CNV_GUARDED_BY(mu_);
-    std::uint64_t hits_ CNV_GUARDED_BY(mu_) = 0;
-    std::uint64_t misses_ CNV_GUARDED_BY(mu_) = 0;
-    std::uint64_t evictions_ CNV_GUARDED_BY(mu_) = 0;
+    std::vector<std::uint64_t> tag_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t evictions_ = 0;
 };
 
 } // namespace cnv::mem

@@ -1,8 +1,5 @@
 #include "mem/memory_model.h"
 
-#include "mem/banked_nm.h"
-#include "mem/dram_channel.h"
-#include "mem/global_buffer.h"
 #include "sim/logging.h"
 
 namespace cnv::mem {
@@ -25,154 +22,6 @@ parseKind(std::string_view name)
     if (name == "banked")
         return Kind::Banked;
     return std::nullopt;
-}
-
-namespace {
-
-/**
- * The legacy single-cycle-NM assumption: every fetch is free, no
- * traffic is tracked. Kept callable so code paths need no null
- * checks where the pointer is always set, but the timing models
- * skip the calls entirely on the ideal path (the model pointer is
- * null there), keeping it zero-overhead.
- */
-class IdealMemory final : public MemoryModel
-{
-  public:
-    Kind
-    kind() const override
-    {
-        return Kind::Ideal;
-    }
-
-    GroupCost
-    fetchGroup(const std::vector<Access> &, std::uint64_t) override
-    {
-        return {};
-    }
-
-    void
-    fetchSequential(std::uint64_t) override
-    {
-    }
-
-    std::uint64_t
-    dramTransfer(std::uint64_t) override
-    {
-        return 0;
-    }
-
-    Counters
-    drainLayer() override
-    {
-        return {};
-    }
-
-    Counters
-    totals() const override
-    {
-        return {};
-    }
-};
-
-/** The simulated hierarchy: GB in front of banked NM, plus DRAM. */
-class BankedMemory final : public MemoryModel
-{
-  public:
-    explicit BankedMemory(const Geometry &g)
-        : geometry_(g), nm_(g.banks, g.slicedFetch), gb_(g.gbLines),
-          dram_(g.dramBytesPerCycle)
-    {
-    }
-
-    Kind
-    kind() const override
-    {
-        return Kind::Banked;
-    }
-
-    GroupCost
-    fetchGroup(const std::vector<Access> &group,
-               std::uint64_t computeCycles) override
-    {
-        GroupCost cost;
-        misses_.clear();
-        const std::uint64_t missed = gb_.filterGroup(group, misses_);
-        cost.conflictCycles = nm_.serveGroup(misses_);
-        // The GB fill port installs one line per cycle; fills hide
-        // behind the group's compute and only the excess is exposed.
-        if (missed > computeCycles)
-            cost.gbFillCycles = missed - computeCycles;
-        return cost;
-    }
-
-    void
-    fetchSequential(std::uint64_t reads) override
-    {
-        nm_.addSequential(reads);
-    }
-
-    std::uint64_t
-    dramTransfer(std::uint64_t bytes) override
-    {
-        return dram_.transfer(bytes);
-    }
-
-    Counters
-    drainLayer() override
-    {
-        const Counters now = totals();
-        Counters delta = now;
-        delta.nmAccesses -= drained_.nmAccesses;
-        delta.nmConflictCycles -= drained_.nmConflictCycles;
-        delta.gbHits -= drained_.gbHits;
-        delta.gbMisses -= drained_.gbMisses;
-        delta.gbEvictions -= drained_.gbEvictions;
-        delta.dramBytes -= drained_.dramBytes;
-        delta.dramCycles -= drained_.dramCycles;
-        drained_ = now;
-        gb_.invalidate();
-        return delta;
-    }
-
-    Counters
-    totals() const override
-    {
-        Counters c;
-        c.nmAccesses = nm_.accesses();
-        c.nmConflictCycles = nm_.conflictCycles();
-        c.gbHits = gb_.hits();
-        c.gbMisses = gb_.misses();
-        c.gbEvictions = gb_.evictions();
-        c.dramBytes = dram_.bytes();
-        c.dramCycles = dram_.cycles();
-        return c;
-    }
-
-  private:
-    const Geometry geometry_;
-    BankedNm nm_;
-    GlobalBuffer gb_;
-    DramChannel dram_;
-    /** Scratch miss list reused across groups (single caller). */
-    std::vector<Access> misses_;
-    /** Totals snapshot at the previous drainLayer(). */
-    Counters drained_;
-};
-
-} // namespace
-
-std::unique_ptr<MemoryModel>
-makeMemoryModel(Kind k, const Geometry &g)
-{
-    if (k == Kind::Ideal)
-        return std::make_unique<IdealMemory>();
-    CNV_ASSERT(g.banks > 0, "banked memory model needs a bank count");
-    CNV_ASSERT(g.dramBytesPerCycle > 0,
-               "banked memory model needs a DRAM bandwidth");
-    CNV_ASSERT(g.gbLines > 0,
-               "banked memory model needs a global-buffer capacity");
-    return std::make_unique<BankedMemory>(g);
 }
 
 } // namespace cnv::mem

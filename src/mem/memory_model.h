@@ -1,16 +1,18 @@
 /**
  * @file
- * The memory-hierarchy interface every timing model issues its
- * accesses against: `mem::MemoryModel` abstracts the banked neuron
- * memory (mem::BankedNm), the shared global buffer
- * (mem::GlobalBuffer) and the off-chip DRAM channel
- * (mem::DramChannel) behind one per-run object carried in
- * `timing::RunOptions`.
+ * The memory-hierarchy vocabulary every timing model issues its
+ * accesses in: which backend a run simulates (`mem::Kind`), the
+ * geometry an architecture declares (`mem::Geometry`), one brick
+ * fetch (`mem::Access`), the cycles a fetch group costs
+ * (`mem::GroupCost`) and the counters a run accumulates
+ * (`mem::Counters`). The one backend with state is
+ * mem::BankedMemory (mem/banked_memory.h).
  *
- * Two backends exist. The `ideal` backend (the registry default) is
- * the legacy single-cycle-NM assumption: every call is a no-op, so
- * reports are bit-identical to the pre-refactor numbers. The
- * `banked` backend (`--mem banked`) models CNV's sixteen
+ * The `ideal` backend (the registry default) is the legacy
+ * single-cycle-NM assumption and has no object at all: the timing
+ * models take a null mem::BankedMemory pointer and skip every
+ * memory call, so reports are bit-identical to the pre-mem numbers.
+ * The `banked` backend (`--mem banked`) models CNV's sixteen
  * independent per-slice fetch pointers vs DaDianNao's single
  * unit-wide pointer (paper Section 4's contention risk area): brick
  * fetches that miss the global buffer contend for NM banks, and
@@ -27,11 +29,10 @@
 #ifndef CNV_MEM_MEMORY_MODEL_H
 #define CNV_MEM_MEMORY_MODEL_H
 
+#include <bit>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 namespace cnv::mem {
 
@@ -109,78 +110,34 @@ struct Counters
     /** Off-chip traffic and the channel cycles it occupied. */
     std::uint64_t dramBytes = 0;
     std::uint64_t dramCycles = 0;
-
-    Counters &
-    operator+=(const Counters &o)
-    {
-        nmAccesses += o.nmAccesses;
-        nmConflictCycles += o.nmConflictCycles;
-        gbHits += o.gbHits;
-        gbMisses += o.gbMisses;
-        gbEvictions += o.gbEvictions;
-        dramBytes += o.dramBytes;
-        dramCycles += o.dramCycles;
-        return *this;
-    }
 };
 
 /**
- * Per-run memory hierarchy. One instance is created per
- * `timing::simulateNetwork` call (i.e. per (architecture, image)
- * task), so the parallel runtime never shares one across threads
- * and conflict accounting stays deterministic at any --jobs count;
- * the components still lock internally so a model outliving that
- * contract stays race-free.
+ * `address % n` for a fixed n > 0: the linear interleave that maps a
+ * brick address to its NM bank or global-buffer slot. A power-of-two
+ * n (every registry geometry) takes a mask fixed at construction
+ * instead of a 64-bit division; any other n keeps the `%`.
  */
-class MemoryModel
+class Interleave
 {
   public:
-    virtual ~MemoryModel() = default;
+    explicit Interleave(std::uint64_t n)
+        : n_(n), mask_(std::has_single_bit(n) ? n - 1 : 0),
+          pow2_(std::has_single_bit(n))
+    {
+    }
 
-    /** Which backend this is. */
-    virtual Kind kind() const = 0;
+    std::uint64_t
+    operator()(std::uint64_t address) const
+    {
+        return pow2_ ? address & mask_ : address % n_;
+    }
 
-    /**
-     * Serve one window group's synchronised brick fetches. The
-     * group's accesses are filtered through the global buffer, the
-     * misses contend for NM banks, and the returned costs are the
-     * cycles the group's runtime grows by. `computeCycles` is the
-     * group's compute time, behind which GB miss fills can hide.
-     */
-    virtual GroupCost fetchGroup(const std::vector<Access> &group,
-                                 std::uint64_t computeCycles) = 0;
-
-    /**
-     * Account `reads` NM fetches issued by a single unit-wide
-     * pointer (the baseline's sequential walk: one bank per cycle
-     * in order, never a conflict, never through the GB).
-     */
-    virtual void fetchSequential(std::uint64_t reads) = 0;
-
-    /**
-     * Stream `bytes` over the off-chip channel; returns the channel
-     * cycles occupied. Callers decide whether those cycles are
-     * exposed (activation spills) or already overlapped elsewhere
-     * (synapse streams timed by the overlap tracker).
-     */
-    virtual std::uint64_t dramTransfer(std::uint64_t bytes) = 0;
-
-    /**
-     * Counters accumulated since the previous drain, and start a
-     * new layer epoch (the global buffer is invalidated — one
-     * layer's activations never hit on the previous layer's).
-     */
-    virtual Counters drainLayer() = 0;
-
-    /** Whole-run counter totals. */
-    virtual Counters totals() const = 0;
+  private:
+    std::uint64_t n_;
+    std::uint64_t mask_;
+    bool pow2_;
 };
-
-/**
- * Build a backend. Kind::Ideal ignores the geometry; Kind::Banked
- * requires banks > 0 and dramBytesPerCycle > 0.
- */
-std::unique_ptr<MemoryModel> makeMemoryModel(Kind k, const Geometry &g);
 
 } // namespace cnv::mem
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <vector>
 
 #include "core/assignment.h"
@@ -40,7 +41,7 @@ coverage1d(int inDim, int outDim, int f, int stride, int pad)
 LayerResult
 convBaseline(const NodeConfig &cfg, const nn::ConvParams &p,
              const Shape3 &inShape, const CountMap &counts, bool isConv1,
-             mem::MemoryModel *mem)
+             mem::BankedMemory *mem)
 {
     const Shape3 outShape = p.outputShape(inShape);
     const int lanes = cfg.lanes;
@@ -195,7 +196,7 @@ template <bool kSkipsWeights>
 LayerResult
 convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
             const Shape3 &inShape, const CountMap &counts,
-            mem::MemoryModel *mem, int convIndex, double weightSparsity)
+            mem::BankedMemory *mem, int convIndex, double weightSparsity)
 {
     const Shape3 outShape = p.outputShape(inShape);
     const int lanes = cfg.lanes;
@@ -245,11 +246,18 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
         // banked NM's modulo interleave sees the real access pattern.
         const std::uint64_t bricksTotal = static_cast<std::uint64_t>(
             (inShape.z + cfg.brickSize - 1) / cfg.brickSize);
-        std::vector<mem::Access> fetches;
 
         // Windows are processed in row-major groups of up to
         // windowsInFlight(); lanes synchronise at group boundaries.
         const int inFlight = cfg.windowsInFlight();
+
+        // A window group fetches at most one brick per (window, kernel
+        // cell, depth brick); the pass-0 walk stores them by index.
+        std::vector<mem::Access> fetches(
+            mem ? static_cast<std::size_t>(inFlight) * p.fx * p.fy *
+                    static_cast<std::size_t>(bricksPerCell)
+                : 0);
+        std::size_t fetchCount = 0;
         const std::int64_t totalWindows =
             static_cast<std::int64_t>(outShape.x) * outShape.y;
 
@@ -315,12 +323,12 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                             }
                             laneTime[lane] += cost;
                             if (mem && pass == 0)
-                                fetches.push_back(
-                                    {lane,
-                                     static_cast<std::uint64_t>(c) *
-                                             bricksTotal +
-                                         static_cast<std::uint64_t>(
-                                             brickBase + b)});
+                                fetches[fetchCount++] = {
+                                    lane,
+                                    static_cast<std::uint64_t>(c) *
+                                            bricksTotal +
+                                        static_cast<std::uint64_t>(
+                                            brickBase + b)};
                         }
                         prof.nz += nzCol[c];
                     }
@@ -338,7 +346,7 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
             const int batch = static_cast<int>(
                 std::min<std::int64_t>(inFlight, totalWindows - w0));
 
-            fetches.clear();
+            fetchCount = 0;
             LaneProfile prof;
             for (int pass = 0; pass < passes; ++pass) {
                 // Without weight skipping the profile is the same for
@@ -378,8 +386,10 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
                     // per-pass NM reads above); bank conflicts and
                     // exposed global-buffer fills stretch the group
                     // with every lane of every unit idle.
-                    const mem::GroupCost gc =
-                        mem->fetchGroup(fetches, prof.groupCycles);
+                    const mem::GroupCost gc = mem->fetchGroup(
+                        std::span<const mem::Access>(fetches.data(),
+                                                     fetchCount),
+                        prof.groupCycles);
                     const std::uint64_t extra =
                         gc.conflictCycles + gc.gbFillCycles;
                     r.cycles += extra;
@@ -411,7 +421,7 @@ convEncoded(const NodeConfig &cfg, const nn::ConvParams &p,
 LayerResult
 convCnv(const NodeConfig &cfg, const nn::ConvParams &p,
         const Shape3 &inShape, const CountMap &counts,
-        mem::MemoryModel *mem, int convIndex, double weightSparsity)
+        mem::BankedMemory *mem, int convIndex, double weightSparsity)
 {
     CNV_ASSERT(weightSparsity >= 0.0 && weightSparsity <= 1.0,
                "weight sparsity {} outside [0, 1]", weightSparsity);

@@ -21,7 +21,7 @@
 
 #include "dadiannao/config.h"
 #include "dadiannao/metrics.h"
-#include "mem/memory_model.h"
+#include "mem/banked_memory.h"
 #include "nn/layer.h"
 #include "tensor/tensor.h"
 
@@ -46,7 +46,7 @@ dadiannao::LayerResult convBaseline(const dadiannao::NodeConfig &cfg,
                                     const nn::ConvParams &p,
                                     const tensor::Shape3 &inShape,
                                     const CountMap &counts, bool isConv1,
-                                    mem::MemoryModel *mem = nullptr);
+                                    mem::BankedMemory *mem = nullptr);
 
 /**
  * Encoded-mode (zero-skipping) conv layer timing: CNV, and Cnvlutin2
@@ -71,7 +71,7 @@ dadiannao::LayerResult convCnv(const dadiannao::NodeConfig &cfg,
                                const nn::ConvParams &p,
                                const tensor::Shape3 &inShape,
                                const CountMap &counts,
-                               mem::MemoryModel *mem = nullptr,
+                               mem::BankedMemory *mem = nullptr,
                                int convIndex = 0,
                                double weightSparsity = 0.0);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "dadiannao/other_layers.h"
@@ -149,10 +150,10 @@ countLookup(const NodeConfig &cfg, Dataflow df, const RunOptions &opts)
 LayerResult
 convLayerTiming(const NodeConfig &cfg, Dataflow df, const nn::Node &node,
                 const CountMap &counts, double weightSparsity,
-                mem::MemoryModel *mem)
+                mem::BankedMemory *mem)
 {
     const double ws = df.skipsWeights ? weightSparsity : 0.0;
-    const auto encodedTiming = [&](mem::MemoryModel *m) {
+    const auto encodedTiming = [&](mem::BankedMemory *m) {
         return convCnv(cfg, node.conv, node.inShape, counts, m,
                        node.convIndex, ws);
     };
@@ -206,18 +207,18 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Dataflow df,
     result.network = net.name();
 
     // One model instance per simulateNetwork call (per arch x image
-    // task): components lock internally, but single-owner use keeps
-    // runs deterministic at any --jobs count.
+    // task), never shared across threads: runs stay deterministic at
+    // any --jobs count. Empty on the ideal hierarchy.
     mem::Geometry memGeo = opts.memGeometry;
-    std::unique_ptr<mem::MemoryModel> memModel;
-    if (opts.memKind != mem::Kind::Ideal) {
+    std::optional<mem::BankedMemory> memModel;
+    if (opts.memKind == mem::Kind::Banked) {
         if (memGeo.banks == 0) {
             memGeo.banks = cfg.nmBanks;
             memGeo.slicedFetch = df.encoded;
             memGeo.nmBytes = cfg.nmBytes;
             memGeo.dramBytesPerCycle = cfg.offchipBytesPerCycle;
         }
-        memModel = mem::makeMemoryModel(opts.memKind, memGeo);
+        memModel.emplace(memGeo);
         result.memModelled = true;
     }
     // Fold the model's per-layer counter delta into the layer just
@@ -269,9 +270,9 @@ simulateNetwork(const NodeConfig &cfg, const nn::Network &net, Dataflow df,
             const std::shared_ptr<const CountMap> counts =
                 cache.countMap(net, id, opts.imageSeed, opts.traces,
                                &lookup.prune, lookup.brickSize);
-            LayerResult conv = convLayerTiming(cfg, df, n, *counts,
-                                               opts.weightSparsity,
-                                               memModel.get());
+            LayerResult conv = convLayerTiming(
+                cfg, df, n, *counts, opts.weightSparsity,
+                memModel ? &*memModel : nullptr);
             overlap.deposit(conv.cycles);
             result.layers.push_back(conv);
             drainInto();

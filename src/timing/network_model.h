@@ -139,7 +139,7 @@ struct RunOptions
     /**
      * Memory-hierarchy model (`--mem`). Ideal — the default — keeps
      * every report byte-identical to a pre-mem build; Banked routes
-     * each NM access through a per-run mem::MemoryModel (banked NM +
+     * each NM access through a per-run mem::BankedMemory (banked NM +
      * global buffer + DRAM channel). The model instance is created
      * inside simulateNetwork, so runs stay deterministic at any
      * --jobs count.
@@ -192,7 +192,7 @@ CountLookup countLookup(const dadiannao::NodeConfig &cfg, Dataflow df,
 dadiannao::LayerResult convLayerTiming(
     const dadiannao::NodeConfig &cfg, Dataflow df, const nn::Node &node,
     const CountMap &counts, double weightSparsity = kDefaultWeightSparsity,
-    mem::MemoryModel *mem = nullptr);
+    mem::BankedMemory *mem = nullptr);
 
 /**
  * Fully-connected layer timing on one dataflow: the shared

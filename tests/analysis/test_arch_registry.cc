@@ -149,6 +149,50 @@ TEST(ArchRegistry, GoldenMatrix)
     }
 }
 
+/**
+ * The memory-hierarchy counters behind the banked rows above: every
+ * built-in on nin (seed 2016, --mem banked), pinning the whole-run
+ * mem::Counters totals. Recorded before the banked NM replay and the
+ * global buffer's slot indexing were rewritten, so a changed
+ * conflict count or GB hit pattern fails here even where it would
+ * leave the cycle total unchanged.
+ */
+TEST(ArchRegistry, GoldenBankedCounters)
+{
+    const struct
+    {
+        const char *id;
+        dadiannao::MemTrace mem;
+    } golden[] = {
+        {"dadiannao", {357434, 0, 0, 0, 0, 15179840, 29649}},
+        {"cnv", {175210, 46, 182224, 78982, 42214, 15179840, 29649}},
+        {"cnv2", {175210, 46, 182224, 78982, 42214, 15179840, 29649}},
+        {"cnv-pruned", {175210, 46, 182224, 78982, 42214, 15179840, 29649}},
+        {"cnv-b4", {604612, 0, 728896, 315928, 271512, 15179840, 29649}},
+        {"cnv-b8", {318344, 39, 364448, 157964, 115276, 15179840, 29649}},
+        {"cnv-b32", {103643, 19, 91112, 39491, 12776, 15179840, 29649}},
+    };
+    ASSERT_EQ(std::size(golden), arch::builtin().models().size());
+
+    const auto net = nn::zoo::build(nn::zoo::NetId::Nin, 2016);
+    for (const auto &g : golden) {
+        timing::RunOptions opts;
+        opts.imageSeed = 2016;
+        opts.memKind = mem::Kind::Banked;
+        const auto m = arch::builtin()
+                           .get(g.id)
+                           .simulateNetwork({}, *net, opts)
+                           .totalMem();
+        EXPECT_EQ(m.nmAccesses, g.mem.nmAccesses) << g.id;
+        EXPECT_EQ(m.nmConflictCycles, g.mem.nmConflictCycles) << g.id;
+        EXPECT_EQ(m.gbHits, g.mem.gbHits) << g.id;
+        EXPECT_EQ(m.gbMisses, g.mem.gbMisses) << g.id;
+        EXPECT_EQ(m.gbEvictions, g.mem.gbEvictions) << g.id;
+        EXPECT_EQ(m.dramBytes, g.mem.dramBytes) << g.id;
+        EXPECT_EQ(m.dramCycles, g.mem.dramCycles) << g.id;
+    }
+}
+
 TEST(ArchRegistry, BrickVariantChangesGeometryAndTiming)
 {
     const arch::ArchModel &b8 = arch::builtin().get("cnv-b8");

@@ -36,6 +36,9 @@ With ``--bench BENCH`` a bench binary's shared argument parser
   * zero/negative --images -> exit 2, diagnostic on stderr
   * empty --json/--trace-out path
                            -> exit 2, diagnostic on stderr
+  * --json/--trace-out on a bench that writes no such file (BENCH
+    should be one, e.g. bench_fig11_area)
+                           -> exit 2, diagnostic on stderr, no file
 
 Usage: smoke_cli_errors.py CNVSIM [--bench BENCH]
 """
@@ -44,6 +47,8 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 
 def run(binary: str, *args: str) -> subprocess.CompletedProcess:
@@ -166,7 +171,16 @@ def main(argv: list[str]) -> int:
             expect(f"bench empty {flag} path",
                    run(bench, f"{flag}="),
                    2, ["invalid value", flag])
-        cases += 10
+        with tempfile.TemporaryDirectory() as tmp:
+            for flag in ("--json", "--trace-out"):
+                out = Path(tmp) / "unwritten.json"
+                expect(f"bench unsupported {flag}",
+                       run(bench, "--quick", flag, str(out)),
+                       2, ["not supported", flag])
+                if out.exists():
+                    problems.append(f"bench unsupported {flag}: "
+                                    f"{out.name} was written")
+        cases += 12
 
     for p in problems:
         print(f"smoke_cli_errors: {p}", file=sys.stderr)

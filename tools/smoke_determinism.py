@@ -15,7 +15,7 @@ Three report experiments run: every built-in architecture on nin under the
 default ideal memory model; the same sweep under ``--mem banked`` —
 the banked hierarchy's conflict, buffer and DRAM counters must be
 just as job-count-invariant as the cycle counts (one
-`mem::MemoryModel` per (arch, image) task, never shared across
+`mem::BankedMemory` per (arch, image) task, never shared across
 workers); and a one-image vgg19 run over dadiannao/cnv/cnv2,
 where the (arch x image) grid is only three tasks and nearly all the
 parallelism is the cache warm's fan-out across conv layers.
