@@ -27,10 +27,7 @@ main(int argc, char **argv)
         for (auto policy : {dadiannao::LaneAssignment::ZOnly,
                             dadiannao::LaneAssignment::XYZHash,
                             dadiannao::LaneAssignment::WindowEven}) {
-            driver::ExperimentConfig cfg;
-            cfg.images = opts.images;
-            cfg.seed = opts.seed;
-            cfg.memKind = opts.memKind;
+            driver::ExperimentConfig cfg = opts.experiment;
             cfg.node.laneAssignment = policy;
             const auto r = driver::evaluateZooNetwork(cfg, id);
             sums[i++] += r.speedup();

@@ -27,10 +27,7 @@ main(int argc, char **argv)
     sim::Table t({"brick size", "offset bits", "NM capacity overhead",
                   "avg CNV speedup vs same-lane baseline"});
     for (int brick : {4, 8, 16, 32}) {
-        driver::ExperimentConfig cfg;
-        cfg.images = opts.images;
-        cfg.seed = opts.seed;
-        cfg.memKind = opts.memKind;
+        driver::ExperimentConfig cfg = opts.experiment;
         cfg.node.brickSize = brick;
         cfg.node.lanes = brick;
         cfg.node.nmBanks = brick; // one bank per lane

@@ -25,10 +25,7 @@ main(int argc, char **argv)
         for (auto id : nn::zoo::allNetworks()) {
             std::vector<std::string> row{nn::zoo::netName(id)};
             for (bool costs : {true, false}) {
-                driver::ExperimentConfig cfg;
-                cfg.images = opts.images;
-                cfg.seed = opts.seed;
-                cfg.memKind = opts.memKind;
+                driver::ExperimentConfig cfg = opts.experiment;
                 cfg.node.emptyBrickCostsCycle = costs;
                 const auto r = driver::evaluateZooNetwork(cfg, id);
                 row.push_back(sim::Table::num(r.speedup()));
@@ -44,10 +41,7 @@ main(int argc, char **argv)
         for (auto id : nn::zoo::allNetworks()) {
             std::vector<std::string> row{nn::zoo::netName(id)};
             for (int nbout : {16, 32, 64, 128}) {
-                driver::ExperimentConfig cfg;
-                cfg.images = opts.images;
-                cfg.seed = opts.seed;
-                cfg.memKind = opts.memKind;
+                driver::ExperimentConfig cfg = opts.experiment;
                 cfg.node.nboutEntries = nbout;
                 const auto r = driver::evaluateZooNetwork(cfg, id);
                 row.push_back(sim::Table::num(r.speedup()));

@@ -26,11 +26,12 @@ main(int argc, char **argv)
     for (double target : {0.25, 0.35, 0.44, 0.55, 0.65}) {
         double sum = 0.0;
         for (auto id : nn::zoo::allNetworks()) {
-            auto net = nn::zoo::build(id, opts.seed);
+            auto net = nn::zoo::build(id, opts.experiment.seed);
             nn::zoo::calibrateSparsity(*net, target);
             net->deriveOutputTargets();
             dadiannao::NodeConfig cfg;
-            sum += timing::speedup(cfg, *net, opts.images, opts.seed);
+            sum += timing::speedup(cfg, *net, opts.experiment.images,
+                                   opts.experiment.seed);
         }
         t.addRow({sim::Table::pct(target) +
                       (target == 0.44 ? " (paper avg)" : ""),

@@ -26,10 +26,7 @@ main(int argc, char **argv)
         double speedups[2];
         int i = 0;
         for (bool fcSkip : {false, true}) {
-            driver::ExperimentConfig cfg;
-            cfg.images = opts.images;
-            cfg.seed = opts.seed;
-            cfg.memKind = opts.memKind;
+            driver::ExperimentConfig cfg = opts.experiment;
             cfg.node.cnvSkipsFcLayers = fcSkip;
             const auto r = driver::evaluateZooNetwork(cfg, id);
             speedups[i] = r.speedup();

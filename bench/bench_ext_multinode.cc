@@ -29,14 +29,14 @@ main(int argc, char **argv)
         sim::Table t({"network", "2 nodes", "4 nodes", "8 nodes",
                       "16 nodes"});
         for (auto id : nn::zoo::allNetworks()) {
-            const auto net = nn::zoo::build(id, opts.seed);
+            const auto net = nn::zoo::build(id, opts.experiment.seed);
             std::vector<std::string> row{nn::zoo::netName(id)};
             for (int nodes : {2, 4, 8, 16}) {
                 timing::MultiNodeOptions mn;
                 mn.nodes = nodes;
                 row.push_back(sim::Table::num(timing::multiNodeScaling(
                     dadiannao::NodeConfig{}, mn, *net, arch.df,
-                    opts.seed)));
+                    opts.experiment.seed)));
             }
             t.addRow(std::move(row));
         }
@@ -49,13 +49,13 @@ main(int argc, char **argv)
     // CNV speedup over the baseline at each system size.
     sim::Table t({"network", "1 node", "4 nodes", "16 nodes"});
     for (auto id : nn::zoo::allNetworks()) {
-        const auto net = nn::zoo::build(id, opts.seed);
+        const auto net = nn::zoo::build(id, opts.experiment.seed);
         std::vector<std::string> row{nn::zoo::netName(id)};
         for (int nodes : {1, 4, 16}) {
             timing::MultiNodeOptions mn;
             mn.nodes = nodes;
             timing::RunOptions ropts;
-            ropts.imageSeed = opts.seed;
+            ropts.imageSeed = opts.experiment.seed;
             const auto base = timing::simulateMultiNode(
                 dadiannao::NodeConfig{}, mn, *net, archs[0].id,
                 archs[0].df, ropts);

@@ -41,7 +41,7 @@ tableOne(const bench::Options &opts)
     };
     int i = 0;
     for (auto id : nn::zoo::allNetworks()) {
-        const auto net = nn::zoo::build(id, opts.seed);
+        const auto net = nn::zoo::build(id, opts.experiment.seed);
         t.addRow({nn::zoo::netName(id),
                   std::to_string(net->convLayerCount()), sources[i++]});
     }
@@ -55,16 +55,16 @@ figureOne(const bench::Options &opts)
                   "paper (Fig. 1)"});
     double sum = 0.0;
     for (auto id : nn::zoo::allNetworks()) {
-        const auto net = nn::zoo::build(id, opts.seed);
+        const auto net = nn::zoo::build(id, opts.experiment.seed);
         double mean = 0.0, sq = 0.0;
-        for (int i = 0; i < opts.images; ++i) {
+        for (int i = 0; i < opts.experiment.images; ++i) {
             const double f =
-                nn::zeroOperandFraction(*net, opts.seed + 100 + i);
+                nn::zeroOperandFraction(*net, opts.experiment.seed + 100 + i);
             mean += f;
             sq += f * f;
         }
-        mean /= opts.images;
-        const double var = sq / opts.images - mean * mean;
+        mean /= opts.experiment.images;
+        const double var = sq / opts.experiment.images - mean * mean;
         sum += mean;
         t.addRow({nn::zoo::netName(id), sim::Table::pct(mean),
                   sim::Table::pct(var > 0 ? std::sqrt(var) : 0.0),
@@ -83,14 +83,15 @@ zeroStability(const bench::Options &opts)
     // Section II: zero positions move with the input. Measure, on a
     // representative mid-network layer input, the fraction of neuron
     // positions that are zero in >= 99% of images and in all images.
-    const auto net = nn::zoo::build(nn::zoo::NetId::Alex, opts.seed);
+    const auto net =
+        nn::zoo::build(nn::zoo::NetId::Alex, opts.experiment.seed);
     const int node = net->convNodeIds()[2]; // conv3's input
-    const int images = std::max(32, opts.images * 8);
+    const int images = std::max(32, opts.experiment.images * 8);
 
     std::vector<int> zeroCount;
     for (int i = 0; i < images; ++i) {
-        const auto in =
-            nn::synthesizeConvInput(*net, node, opts.seed + 500 + i);
+        const auto in = nn::synthesizeConvInput(
+            *net, node, opts.experiment.seed + 500 + i);
         if (zeroCount.empty())
             zeroCount.assign(in.size(), 0);
         const tensor::Fixed16 *d = in.data();

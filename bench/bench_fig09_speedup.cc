@@ -63,18 +63,15 @@ int
 main(int argc, char **argv)
 {
     const auto opts = bench::parseArgs(
-        argc, argv, 2, bench::kJsonArtifact | bench::kTraceOut);
+        argc, argv, 2, driver::kJsonArtifact | driver::kTraceOut);
 
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.memKind = opts.memKind;
-    bench::printConfig(cfg.node);
+    const driver::ExperimentConfig &cfg = opts.experiment;
+    std::cout << "node: " << cfg.node.describe() << '\n';
 
     pruning::SearchOptions search;
     search.accuracyImages = opts.quick ? 4 : 10;
     search.timingImages = 1;
-    search.seed = opts.seed + 7;
+    search.seed = cfg.seed + 7;
 
     const auto threeArchs =
         arch::builtin().select("dadiannao,cnv,cnv2");
@@ -202,7 +199,7 @@ main(int argc, char **argv)
             sumPruned / 6;
     bench::emit(opts, "Figure 9: speedup of CNV over the baseline", t);
     phase.reset();
-    bench::writeFigureArtifact(opts, "fig09_speedup", cfg.node, fig);
+    bench::writeFigureArtifact(opts, "fig09_speedup", fig);
     if (!opts.traceOut.empty()) {
         std::ofstream os(opts.traceOut);
         if (!os) {
@@ -211,7 +208,7 @@ main(int argc, char **argv)
             return 1;
         }
         trace.writeJson(os, {sim::TraceArg("tool", "bench_fig09_speedup"),
-                             sim::TraceArg("seed", opts.seed)});
+                             sim::TraceArg("seed", cfg.seed)});
         std::cout << "wrote " << trace.events().size()
                   << " trace events to " << opts.traceOut << '\n';
     }

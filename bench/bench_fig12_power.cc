@@ -18,11 +18,8 @@ main(int argc, char **argv)
 {
     const auto opts = bench::parseArgs(argc, argv, 1);
 
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.memKind = opts.memKind;
-    bench::printConfig(cfg.node);
+    const driver::ExperimentConfig &cfg = opts.experiment;
+    std::cout << "node: " << cfg.node.describe() << '\n';
 
     power::PowerBreakdown baseAvg, cnvAvg;
     auto accumulate = [](power::PowerBreakdown &into,

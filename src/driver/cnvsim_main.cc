@@ -2,78 +2,34 @@
  * @file
  * cnvsim — the command-line front end to the simulator.
  *
- *   cnvsim list                          network inventory
- *   cnvsim archs [--ids]                 architecture registry listing
- *                                        (--ids: bare id per line, for
- *                                        scripts and doc checks)
- *   cnvsim run <net> [opts]              timing run on selected archs
- *   cnvsim power <net> [opts]            power / energy / EDP
- *   cnvsim prune <net> [opts]            lossless threshold search
- *   cnvsim validate <net> [opts]         functional equivalence check
- *   cnvsim zfnaf <net> [opts]            per-layer ZFNAf statistics
- *   cnvsim export-traces <net> [opts]    write per-layer traces to --out
- *   cnvsim trace <net> [opts]            cycle-level event trace with
- *                                        stall attribution
- *   cnvsim reproduce [opts]              headline paper-vs-measured table
+ *   list / archs            network inventory / architecture registry
+ *   run / power <net>       timing run / power, energy, EDP
+ *   prune / validate <net>  lossless thresholds / functional check
+ *   zfnaf <net>             per-layer ZFNAf statistics
+ *   export-traces <net>     write per-layer traces to --out
+ *   trace <net>             cycle-level event trace, stall attribution
+ *   reproduce               headline paper-vs-measured table
  *
- * Common options:
- *   --arch a,b,... architectures to run, by registry id (default
- *                  "dadiannao,cnv"; see `cnvsim archs`)
- *   --images N     trace instances (default 2)
- *   --seed S       root seed (default 2016)
- *   --scale K      reduced-scale geometry (validate/prune accuracy)
- *   --stats        dump the full statistics tree (gem5-style)
- *   --layers       per-layer cycle table (run)
- *   --floor F      accuracy floor for prune (default 1.0)
- *   --report-json PATH   write the run report (manifest + per-layer
- *                        timelines + summary) as JSON (run)
- *   --report-csv PATH    same report as CSV rows (run)
- *   --net NAME     network (trace; alternative to the positional)
- *   --trace-out PATH     write the Chrome trace-event JSON (trace)
- *   --stall-csv PATH     write the per-layer stall breakdown (trace)
- *   --max-events N       bound the trace sink (default 1048576)
- *   --jobs N       worker-pool size (default: hardware concurrency,
- *                  or the CNVSIM_JOBS environment variable); results
- *                  are bit-identical for every value
- *   --weight-sparsity F  fraction of ineffectual weight bricks the
- *                  cnv2 model skips (0..1, default 0.35); recorded
- *                  in the report manifest, ignored by other archs
- *   --mem ideal|banked   memory-hierarchy model (run/power/trace):
- *                  ideal (default) keeps the legacy numbers
- *                  byte-identical; banked simulates NM banking, the
- *                  shared global buffer and the DRAM channel, and
- *                  adds the summary.memory report block
- *   --perf-json PATH     write the host-side telemetry profile
- *                  (phase timers, pool utilization, trace-cache
- *                  stats, peak RSS) as a cnv-perf-v1 artifact
- *   --progress on|off|auto   live stderr progress meter during the
- *                  image sweep (auto: only when stderr is a TTY)
- *
- * Every network command takes its network as a positional argument
- * (`cnvsim run nin ...`) or via --net (`cnvsim run --net nin ...`).
- *
- * Options accept both "--flag value" and "--flag=value" spellings.
- * The report, trace-event, stall and perf schemas are documented in
+ * The usage text (`cnvsim` alone) lists the options each command
+ * accepts. The report, trace-event, stall and perf schemas are in
  * docs/observability.md.
  */
 
-#include <charconv>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
+#include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "arch/registry.h"
 #include "driver/driver.h"
+#include "driver/options.h"
 #include "driver/run_manifest.h"
 #include "driver/stats_report.h"
 #include "driver/trace_pipeline.h"
-#include "mem/memory_model.h"
 #include "nn/trace.h"
 #include "ref/cnv_node.h"
 #include "ref/dadiannao_node.h"
@@ -93,205 +49,16 @@
 namespace {
 
 using namespace cnv;
+using driver::CliOptions;
 
-struct CliOptions
+/** Open an output file named on the command line, or fail. */
+std::ofstream
+openOutput(const std::string &path)
 {
-    std::string archs = "dadiannao,cnv";
-    int images = 2;
-    std::uint64_t seed = 2016;
-    int scale = 8;
-    bool stats = false;
-    bool layers = false;
-    double floor = 1.0;
-    std::string out = "traces";
-    std::string reportJson;
-    std::string reportCsv;
-    std::string net;
-    std::string traceOut;
-    std::string stallCsv;
-    std::size_t maxEvents = sim::TraceSink::kDefaultMaxEvents;
-    int jobs = 0; ///< 0 = keep the process default
-    double weightSparsity = timing::kDefaultWeightSparsity;
-    mem::Kind memKind = mem::Kind::Ideal;
-    std::string perfJson;
-    sim::MetricsRegistry::Progress progress =
-        sim::MetricsRegistry::Progress::Off;
-};
-
-[[noreturn]] void
-usage()
-{
-    std::cerr <<
-        "usage: cnvsim <command> [network] [options]\n"
-        "  commands: list | archs | run | power | prune | validate |\n"
-        "            zfnaf | export-traces | trace | reproduce\n"
-        "  networks: alex google nin vgg19 cnnM cnnS\n"
-        "  options : --arch a,b,... --images N --seed S --scale K\n"
-        "            --stats --layers --floor F --report-json PATH\n"
-        "            --report-csv PATH --net NAME --trace-out PATH\n"
-        "            --stall-csv PATH --max-events N --jobs N\n"
-        "            --weight-sparsity F --mem ideal|banked\n"
-        "            --perf-json PATH --progress on|off|auto\n"
-        "  archs accepts --ids (bare registry ids, one per line)\n";
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    std::exit(2);
-}
-
-/**
- * Strict numeric option parsing: the whole value must be one number
- * of type T in [lo, hi] — no trailing junk, no sign wrap-around, no
- * empty string. Mirrors the bench runner's numeric validation (exit
- * 2 with a diagnostic) rather than std::stoi's exception path.
- */
-template <typename T>
-T
-parseNumber(const std::string &flag, const std::string &value, T lo,
-            T hi = std::numeric_limits<T>::max())
-{
-    T parsed{};
-    const char *begin = value.data();
-    const char *end = begin + value.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-    // Written as !(in range) so a parsed NaN is rejected too.
-    if (ec != std::errc() || ptr != end || !(parsed >= lo && parsed <= hi)) {
-        std::cerr << "cnvsim: invalid value '" << value << "' for "
-                  << flag << " (expected ";
-        if constexpr (std::is_integral_v<T>)
-            std::cerr << "an integer";
-        else
-            std::cerr << "a number";
-        if (hi == std::numeric_limits<T>::max())
-            std::cerr << " >= " << lo << ")\n";
-        else
-            std::cerr << " in [" << lo << ", " << hi << "])\n";
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        std::exit(2);
-    }
-    return parsed;
-}
-
-/** Output-path options must name a file: an empty value exits 2. */
-const std::string &
-parsePath(const std::string &flag, const std::string &value)
-{
-    if (value.empty()) {
-        std::cerr << "cnvsim: invalid value '' for " << flag
-                  << " (expected an output path)\n";
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        std::exit(2);
-    }
-    return value;
-}
-
-/**
- * Strict --mem parsing: one of the mem::Kind names, nothing else.
- * Same exit-2 diagnostic convention as --jobs.
- */
-mem::Kind
-parseMem(const std::string &value)
-{
-    const auto kind = mem::parseKind(value);
-    if (!kind) {
-        std::cerr << "cnvsim: invalid value '" << value
-                  << "' for --mem (expected 'ideal' or 'banked')\n";
-        // NOLINTNEXTLINE(concurrency-mt-unsafe)
-        std::exit(2);
-    }
-    return *kind;
-}
-
-CliOptions
-parseOptions(const std::vector<std::string> &rawArgs, std::size_t start)
-{
-    // Normalise "--flag=value" into "--flag value" so both spellings
-    // work everywhere.
-    std::vector<std::string> args;
-    for (std::size_t i = start; i < rawArgs.size(); ++i) {
-        const std::string &a = rawArgs[i];
-        const std::size_t eq = a.find('=');
-        if (a.rfind("--", 0) == 0 && eq != std::string::npos) {
-            args.push_back(a.substr(0, eq));
-            args.push_back(a.substr(eq + 1));
-        } else {
-            args.push_back(a);
-        }
-    }
-
-    CliOptions opts;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string flag = args[i];
-        auto next = [&]() -> const std::string & {
-            if (i + 1 >= args.size())
-                usage();
-            return args[++i];
-        };
-        if (args[i] == "--arch")
-            opts.archs = next();
-        else if (args[i] == "--images")
-            opts.images = parseNumber(flag, next(), 1);
-        else if (args[i] == "--seed")
-            opts.seed = parseNumber(flag, next(), std::uint64_t{0});
-        else if (args[i] == "--scale")
-            opts.scale = parseNumber(flag, next(), 1);
-        else if (args[i] == "--floor")
-            opts.floor = parseNumber(flag, next(), 0.0, 1.0);
-        else if (args[i] == "--out")
-            opts.out = parsePath(flag, next());
-        else if (args[i] == "--report-json")
-            opts.reportJson = parsePath(flag, next());
-        else if (args[i] == "--report-csv")
-            opts.reportCsv = parsePath(flag, next());
-        else if (args[i] == "--net")
-            opts.net = next();
-        else if (args[i] == "--trace-out")
-            opts.traceOut = parsePath(flag, next());
-        else if (args[i] == "--stall-csv")
-            opts.stallCsv = parsePath(flag, next());
-        else if (args[i] == "--max-events")
-            opts.maxEvents = parseNumber(flag, next(), std::size_t{1});
-        else if (args[i] == "--jobs")
-            opts.jobs = parseNumber(flag, next(), 1);
-        else if (args[i] == "--mem")
-            opts.memKind = parseMem(next());
-        else if (args[i] == "--perf-json")
-            opts.perfJson = parsePath(flag, next());
-        else if (args[i] == "--progress") {
-            const std::string &value = next();
-            if (value == "on")
-                opts.progress = sim::MetricsRegistry::Progress::On;
-            else if (value == "off")
-                opts.progress = sim::MetricsRegistry::Progress::Off;
-            else if (value == "auto")
-                opts.progress = sim::MetricsRegistry::Progress::Auto;
-            else {
-                std::cerr << "cnvsim: invalid value '" << value
-                          << "' for --progress (expected on, off or "
-                             "auto)\n";
-                // NOLINTNEXTLINE(concurrency-mt-unsafe)
-                std::exit(2);
-            }
-        }
-        else if (args[i] == "--weight-sparsity")
-            opts.weightSparsity = parseNumber(flag, next(), 0.0, 1.0);
-        else if (args[i] == "--stats")
-            opts.stats = true;
-        else if (args[i] == "--layers")
-            opts.layers = true;
-        else
-            usage();
-    }
-    if (opts.jobs > 0)
-        sim::setJobCount(opts.jobs);
-    sim::metrics().configureProgress(opts.progress);
-    return opts;
-}
-
-/** The architecture models selected with --arch (registry order
- *  preserved as given; fatal on unknown ids). */
-std::vector<const arch::ArchModel *>
-selectedArchs(const CliOptions &opts)
-{
-    return arch::builtin().select(opts.archs);
+    std::ofstream os(path);
+    if (!os)
+        CNV_FATAL("cannot open output file '{}'", path);
+    return os;
 }
 
 /** Whether --report-json or --report-csv asked for a run report. */
@@ -306,19 +73,13 @@ void
 writeReports(const CliOptions &opts, driver::RunReport report)
 {
     report.manifest.wallSeconds = sim::metrics().secondsSinceEnable();
-    auto open = [](const std::string &path) {
-        std::ofstream os(path);
-        if (!os)
-            CNV_FATAL("cannot open report file '{}'", path);
-        return os;
-    };
     if (!opts.reportJson.empty()) {
-        auto os = open(opts.reportJson);
+        auto os = openOutput(opts.reportJson);
         driver::writeReportJson(report, os);
         std::cout << "wrote JSON report to " << opts.reportJson << '\n';
     }
     if (!opts.reportCsv.empty()) {
-        auto os = open(opts.reportCsv);
+        auto os = openOutput(opts.reportCsv);
         driver::writeReportCsv(report, os);
         std::cout << "wrote CSV report to " << opts.reportCsv << '\n';
     }
@@ -331,19 +92,14 @@ writeReports(const CliOptions &opts, driver::RunReport report)
  * body, so phase timers and cache counters cover the whole run.
  */
 void
-writePerfJson(const CliOptions &opts, const std::string &network)
+writePerfJson(const CliOptions &opts)
 {
     if (opts.perfJson.empty())
         return;
-    std::ofstream os(opts.perfJson);
-    if (!os)
-        CNV_FATAL("cannot open perf file '{}'", opts.perfJson);
-    driver::RunManifest manifest = driver::makeManifest("cnvsim");
-    manifest.network = network;
-    manifest.nodeConfig = dadiannao::NodeConfig().describe();
-    manifest.images = opts.images;
-    manifest.seed = opts.seed;
-    manifest.weightSparsity = opts.weightSparsity;
+    std::ofstream os = openOutput(opts.perfJson);
+    driver::RunManifest manifest = driver::makeManifest(
+        "cnvsim", opts.experiment,
+        opts.net.empty() ? "(all zoo networks)" : opts.net);
     manifest.wallSeconds = sim::metrics().secondsSinceEnable();
     sim::JsonWriter w(os);
     w.beginObject();
@@ -404,21 +160,20 @@ cmdArchs(bool idsOnly)
     return 0;
 }
 
+/** The network and the --arch models of a run, in the "build" phase. */
+std::pair<std::unique_ptr<nn::Network>, std::vector<const arch::ArchModel *>>
+buildRun(nn::zoo::NetId id, const CliOptions &opts)
+{
+    const sim::ScopedPhase phase("build");
+    auto archs = arch::builtin().select(opts.archs);
+    return {nn::zoo::build(id, opts.experiment.seed), std::move(archs)};
+}
+
 int
 cmdRun(nn::zoo::NetId id, const CliOptions &opts)
 {
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.weightSparsity = opts.weightSparsity;
-    cfg.memKind = opts.memKind;
-    std::unique_ptr<nn::Network> net;
-    std::vector<const arch::ArchModel *> archs;
-    {
-        const sim::ScopedPhase phase("build");
-        net = nn::zoo::build(id, cfg.seed);
-        archs = selectedArchs(opts);
-    }
+    const driver::ExperimentConfig &cfg = opts.experiment;
+    const auto [net, archs] = buildRun(id, opts);
     const auto &ref = *archs.front();
 
     // Single-image per-layer timelines, one run per selected arch
@@ -499,18 +254,8 @@ cmdRun(nn::zoo::NetId id, const CliOptions &opts)
 int
 cmdPower(nn::zoo::NetId id, const CliOptions &opts)
 {
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.weightSparsity = opts.weightSparsity;
-    cfg.memKind = opts.memKind;
-    std::unique_ptr<nn::Network> net;
-    std::vector<const arch::ArchModel *> archs;
-    {
-        const sim::ScopedPhase phase("build");
-        archs = selectedArchs(opts);
-        net = nn::zoo::build(id, cfg.seed);
-    }
+    const driver::ExperimentConfig &cfg = opts.experiment;
+    const auto [net, archs] = buildRun(id, opts);
     const auto &ref = *archs.front();
     driver::NetworkReport report;
     {
@@ -553,15 +298,16 @@ cmdPower(nn::zoo::NetId id, const CliOptions &opts)
 int
 cmdPrune(nn::zoo::NetId id, const CliOptions &opts)
 {
-    const auto fullNet = nn::zoo::build(id, opts.seed);
-    auto accNet = nn::zoo::build(id, opts.seed, opts.scale);
+    const driver::ExperimentConfig &cfg = opts.experiment;
+    const auto fullNet = nn::zoo::build(id, cfg.seed);
+    auto accNet = nn::zoo::build(id, cfg.seed, cfg.accuracyScale);
     accNet->calibrate();
 
     dadiannao::NodeConfig node;
     pruning::SearchOptions search;
-    search.accuracyImages = std::max(6, opts.images * 3);
+    search.accuracyImages = std::max(6, cfg.images * 3);
     search.timingImages = 1;
-    search.seed = opts.seed + 7;
+    search.seed = cfg.seed + 7;
     search.accuracyFloor = opts.floor;
 
     const auto point =
@@ -578,14 +324,14 @@ cmdPrune(nn::zoo::NetId id, const CliOptions &opts)
 int
 cmdZfnaf(nn::zoo::NetId id, const CliOptions &opts)
 {
-    const auto net = nn::zoo::build(id, opts.seed);
+    const auto net = nn::zoo::build(id, opts.experiment.seed);
     sim::Table t({"conv layer", "input", "zero", "avg nz/brick",
                   "empty bricks", "ZFNAf bits vs dense",
                   "offset-only vs dense"});
     for (int nodeId : net->convNodeIds()) {
         const nn::Node &n = net->node(nodeId);
         const auto in =
-            nn::synthesizeConvInput(*net, nodeId, opts.seed + 1);
+            nn::synthesizeConvInput(*net, nodeId, opts.experiment.seed + 1);
         const auto enc = zfnaf::encode(in);
         std::size_t empty = 0;
         for (int y = 0; y < in.shape().y; ++y)
@@ -622,12 +368,13 @@ cmdZfnaf(nn::zoo::NetId id, const CliOptions &opts)
 int
 cmdExportTraces(nn::zoo::NetId id, const CliOptions &opts)
 {
-    const auto net = nn::zoo::build(id, opts.seed);
+    const driver::ExperimentConfig &cfg = opts.experiment;
+    const auto net = nn::zoo::build(id, cfg.seed);
     std::filesystem::create_directories(opts.out);
     const timing::DirectoryTraceProvider provider(opts.out);
     int written = 0;
-    for (int i = 0; i < opts.images; ++i) {
-        const std::uint64_t seed = opts.seed + i;
+    for (int i = 0; i < cfg.images; ++i) {
+        const std::uint64_t seed = cfg.seed + i;
         for (int nodeId : net->convNodeIds()) {
             const auto in = nn::synthesizeConvInput(*net, nodeId, seed);
             tensor::saveTensorFile(provider.pathFor(*net, nodeId, seed),
@@ -645,14 +392,8 @@ cmdExportTraces(nn::zoo::NetId id, const CliOptions &opts)
 int
 cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
 {
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
-    cfg.weightSparsity = opts.weightSparsity;
-    cfg.memKind = opts.memKind;
-    const auto net = nn::zoo::build(id, cfg.seed);
-
-    const auto archs = selectedArchs(opts);
+    const driver::ExperimentConfig &cfg = opts.experiment;
+    const auto [net, archs] = buildRun(id, opts);
     timing::TraceCache cache;
     const std::vector<driver::ArchTimeline> timelines =
         driver::simulateTimelines(cfg, *net, archs, nullptr, cache);
@@ -676,16 +417,10 @@ cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
         stalls.push_back(micro.stalls);
     }
 
-    auto open = [](const std::string &path) {
-        std::ofstream os(path);
-        if (!os)
-            CNV_FATAL("cannot open output file '{}'", path);
-        return os;
-    };
     if (!opts.traceOut.empty()) {
-        auto os = open(opts.traceOut);
+        auto os = openOutput(opts.traceOut);
         sink.writeJson(os, {sim::TraceArg("network", net->name()),
-                            sim::TraceArg("seed", opts.seed),
+                            sim::TraceArg("seed", cfg.seed),
                             sim::TraceArg("tool", "cnvsim trace")});
         std::cout << "wrote " << sink.events().size()
                   << " trace events to " << opts.traceOut;
@@ -696,7 +431,7 @@ cmdTrace(nn::zoo::NetId id, const CliOptions &opts)
                      "chrome://tracing; 1 trace us = 1 cycle\n";
     }
     if (!opts.stallCsv.empty()) {
-        auto os = open(opts.stallCsv);
+        auto os = openOutput(opts.stallCsv);
         bool header = true;
         for (const driver::ArchTimeline &tl : timelines) {
             driver::writeStallCsv(os, tl.result, tl.result.architecture,
@@ -734,9 +469,7 @@ cmdReproduce(const CliOptions &opts)
 {
     // The headline numbers of EXPERIMENTS.md in one run: Figure 1,
     // Figure 9 (zero skipping only), Figure 11 and Figure 13.
-    driver::ExperimentConfig cfg;
-    cfg.images = opts.images;
-    cfg.seed = opts.seed;
+    const driver::ExperimentConfig &cfg = opts.experiment;
     std::cout << "node: " << cfg.node.describe() << "\n\n";
 
     sim::Table t({"network", "zero operands", "CNV speedup",
@@ -778,10 +511,11 @@ cmdReproduce(const CliOptions &opts)
 int
 cmdValidate(nn::zoo::NetId id, const CliOptions &opts)
 {
-    auto net = nn::zoo::build(id, opts.seed, opts.scale);
+    const driver::ExperimentConfig &cfg = opts.experiment;
+    auto net = nn::zoo::build(id, cfg.seed, cfg.accuracyScale);
     net->calibrate();
     const auto image = nn::synthesizeImage(net->node(0).outShape,
-                                           opts.seed + 1);
+                                           cfg.seed + 1);
 
     const dadiannao::NodeConfig node;
     ref::BaselineNodeModel baseline{node};
@@ -791,7 +525,7 @@ cmdValidate(nn::zoo::NetId id, const CliOptions &opts)
     const auto golden = net->forward(image);
 
     const bool ok = b.final == c.final && b.final == golden.final;
-    std::cout << nn::zoo::netName(id) << " at 1/" << opts.scale
+    std::cout << nn::zoo::netName(id) << " at 1/" << cfg.accuracyScale
               << " scale: baseline/CNV/golden outputs "
               << (ok ? "bit-identical" : "MISMATCH") << "; top-1 "
               << b.top1 << "; cycles " << b.timing.totalCycles() << " vs "
@@ -799,65 +533,49 @@ cmdValidate(nn::zoo::NetId id, const CliOptions &opts)
     return ok ? 0 : 1;
 }
 
+/** Run the command `opts` names (parseCli() checked it exists). */
+int
+runCommand(const CliOptions &opts)
+{
+    if (opts.command == "list")
+        return cmdList();
+    if (opts.command == "archs")
+        return cmdArchs(opts.ids);
+    if (opts.command == "reproduce")
+        return cmdReproduce(opts);
+    using NetCommand = int (*)(nn::zoo::NetId, const CliOptions &);
+    static const std::map<std::string, NetCommand> netCommands = {
+        {"run", cmdRun},     {"power", cmdPower},
+        {"prune", cmdPrune}, {"validate", cmdValidate},
+        {"zfnaf", cmdZfnaf}, {"export-traces", cmdExportTraces},
+        {"trace", cmdTrace}};
+    return netCommands.at(opts.command)(nn::zoo::netFromName(opts.net),
+                                        opts);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty())
-        usage();
+    const std::vector<std::string> args(argv + 1, argv + argc);
     // Telemetry is on for the whole process: every phase timer, pool
     // lane and cache counter below records against this epoch.
     sim::metrics().setEnabled(true);
 
     try {
-        const std::string &command = args[0];
-        if (command == "list")
-            return cmdList();
-        if (command == "archs")
-            return cmdArchs(args.size() >= 2 && args[1] == "--ids");
-        if (command == "reproduce") {
-            const CliOptions opts = parseOptions(args, 1);
-            const int rc = cmdReproduce(opts);
-            writePerfJson(opts, "(all zoo networks)");
-            return rc;
-        }
-
-        // Every remaining command takes a network, positionally
-        // (`run nin`) or via --net (`run --net nin`).
-        CliOptions opts;
-        std::string netName;
-        if (args.size() >= 2 && args[1].rfind("--", 0) != 0) {
-            netName = args[1];
-            opts = parseOptions(args, 2);
-            opts.net = netName;
-        } else {
-            opts = parseOptions(args, 1);
-            if (opts.net.empty())
-                usage();
-            netName = opts.net;
-        }
-        const auto id = nn::zoo::netFromName(netName);
-        int rc = 0;
-        if (command == "run")
-            rc = cmdRun(id, opts);
-        else if (command == "power")
-            rc = cmdPower(id, opts);
-        else if (command == "prune")
-            rc = cmdPrune(id, opts);
-        else if (command == "validate")
-            rc = cmdValidate(id, opts);
-        else if (command == "zfnaf")
-            rc = cmdZfnaf(id, opts);
-        else if (command == "export-traces")
-            rc = cmdExportTraces(id, opts);
-        else if (command == "trace")
-            rc = cmdTrace(id, opts);
-        else
-            usage();
-        writePerfJson(opts, netName);
+        const CliOptions opts = driver::parseCli(args);
+        if (opts.jobs > 0)
+            sim::setJobCount(opts.jobs);
+        sim::metrics().configureProgress(opts.progress);
+        const int rc = runCommand(opts);
+        writePerfJson(opts);
         return rc;
+    } catch (const driver::UsageError &e) {
+        std::cerr << "cnvsim: " << e.what() << '\n';
+        if (e.showUsage())
+            std::cerr << driver::cliUsage();
+        return 2;
     } catch (const sim::FatalError &e) {
         std::cerr << e.what() << '\n';
         return 1;

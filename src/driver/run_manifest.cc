@@ -1,7 +1,7 @@
 #include "driver/run_manifest.h"
 
+#include "driver/driver.h"
 #include "sim/parallel.h"
-#include "timing/network_model.h"
 
 #ifndef CNV_GIT_SHA
 #define CNV_GIT_SHA "unknown"
@@ -31,27 +31,21 @@ RunManifest::writeJson(sim::JsonWriter &w) const
     w.endObject();
 }
 
-std::string
-buildGitSha()
-{
-    return CNV_GIT_SHA;
-}
-
-std::string
-buildVersion()
-{
-    return CNV_VERSION;
-}
-
 RunManifest
-makeManifest(std::string tool)
+makeManifest(std::string tool, const ExperimentConfig &cfg,
+             std::string network)
 {
     RunManifest m;
     m.tool = std::move(tool);
-    m.gitSha = buildGitSha();
-    m.version = buildVersion();
+    m.gitSha = CNV_GIT_SHA;
+    m.version = CNV_VERSION;
     m.jobs = sim::jobCount();
-    m.weightSparsity = timing::kDefaultWeightSparsity;
+    m.network = std::move(network);
+    m.nodeConfig = cfg.node.describe();
+    m.images = cfg.images;
+    m.seed = cfg.seed;
+    m.weightSparsity = cfg.weightSparsity;
+    m.mem = mem::kindName(cfg.memKind);
     return m;
 }
 

@@ -22,6 +22,8 @@
 
 namespace cnv::driver {
 
+struct ExperimentConfig;
+
 /** Everything needed to re-run (and trust) a report. */
 struct RunManifest
 {
@@ -59,14 +61,11 @@ struct RunManifest
     void writeJson(sim::JsonWriter &w) const;
 };
 
-/** Git SHA baked in at configure time ("unknown" without git). */
-std::string buildGitSha();
-
-/** Project version string baked in at configure time. */
-std::string buildVersion();
-
-/** Manifest pre-filled with the build's provenance fields. */
-RunManifest makeManifest(std::string tool);
+/** Manifest of a run of `cfg` on `network`: the build's provenance
+ *  plus the node, images, seed, weight sparsity and memory model.
+ *  The caller fills wallSeconds. */
+RunManifest makeManifest(std::string tool, const ExperimentConfig &cfg,
+                         std::string network);
 
 } // namespace cnv::driver
 

@@ -1,7 +1,6 @@
 #include "driver/stats_report.h"
 
 #include "driver/trace_pipeline.h"
-#include "mem/memory_model.h"
 #include "sim/logging.h"
 #include "sim/metrics.h"
 #include "sim/parallel.h"
@@ -220,13 +219,7 @@ makeRunReport(const ExperimentConfig &cfg, const nn::Network &net,
               const timing::TraceCache::Stats &cacheStats)
 {
     RunReport report;
-    report.manifest = makeManifest("cnvsim");
-    report.manifest.network = net.name();
-    report.manifest.nodeConfig = cfg.node.describe();
-    report.manifest.images = cfg.images;
-    report.manifest.seed = cfg.seed;
-    report.manifest.weightSparsity = cfg.weightSparsity;
-    report.manifest.mem = mem::kindName(cfg.memKind);
+    report.manifest = makeManifest("cnvsim", cfg, net.name());
     report.timelines = std::move(timelines);
     report.aggregate = std::move(aggregate);
     report.cacheStats = cacheStats;

@@ -85,9 +85,8 @@ struct RunReport
  * simulateTimelines() timelines, the evaluateNetworkArchs()
  * aggregate and the stats of the cache both used. Simulate the
  * timelines first, as buildRunReport() does, for the same cache
- * counters. The build provenance fields are filled via
- * makeManifest(); the caller fills manifest.tool and
- * manifest.wallSeconds.
+ * counters. makeManifest() fills the manifest from `cfg`; the
+ * caller fills manifest.wallSeconds.
  */
 RunReport makeRunReport(const ExperimentConfig &cfg, const nn::Network &net,
                         std::vector<ArchTimeline> timelines,
@@ -96,9 +95,8 @@ RunReport makeRunReport(const ExperimentConfig &cfg, const nn::Network &net,
 
 /**
  * Evaluate `net` on the selected architectures and assemble a
- * RunReport. The caller fills manifest.tool and
- * manifest.wallSeconds (the build provenance fields are filled here
- * via makeManifest()).
+ * RunReport, as makeRunReport() does. The caller fills
+ * manifest.wallSeconds.
  */
 RunReport buildRunReport(const ExperimentConfig &cfg,
                          const nn::Network &net,

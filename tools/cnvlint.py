@@ -20,9 +20,9 @@ root, or pass the root as the first argument. Ten rules over
   error-style   Library code reports failure through
                 ``cnv::sim::PanicError``/``FatalError`` (via
                 CNV_PANIC/CNV_FATAL/CNV_ASSERT), never ``assert()``,
-                ``abort()`` or ``exit()``. ``static_assert`` is fine;
-                the CLI entry point (``src/driver/cnvsim_main.cc``)
-                may ``exit`` with a usage message.
+                ``abort()`` or ``exit()``. ``static_assert`` is fine.
+                Command-line errors are ``driver::UsageError``s that
+                cnvsim's ``main()`` returns as exit status 2.
   cast-ban      ``reinterpret_cast`` and ``const_cast`` are banned —
                 use the memcpy helpers in ``tensor/bytes.h`` for byte
                 I/O. No current allowlist entries.
@@ -87,10 +87,10 @@ MAGIC16_FILE_ALLOWLIST = {
 # Network-definition tables: literal channel counts, not geometry.
 MAGIC16_DIR_ALLOWLIST = ("src/nn/zoo/",)
 
-# The CLI front end may exit() after printing usage.
-ERROR_STYLE_ALLOWLIST = {
-    "src/driver/cnvsim_main.cc": {"exit"},
-}
+# Files allowed an error-style call, with the calls allowed. None:
+# the option table (src/driver/options.cc) throws driver::UsageError
+# and cnvsim's main() turns it into exit status 2 by returning.
+ERROR_STYLE_ALLOWLIST: dict[str, set[str]] = {}
 
 SCHEMA_SOURCES = (
     "src/sim/stats_export.cc",

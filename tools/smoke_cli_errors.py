@@ -10,6 +10,8 @@ crash, a zero exit, or a silent stdout message.
 Cases:
   * unknown network        -> exit 1, "fatal:" + the bad name on stderr
   * unknown flag           -> exit 2, usage text on stderr
+  * a flag the command does not read (list --bogus, archs --idz,
+    zfnaf --arch)          -> exit 2, usage text on stderr
   * malformed flag value   -> exit 2, diagnostic on stderr
   * unknown --arch id      -> exit 1, "fatal:" + known ids on stderr
   * missing --net (trace)  -> exit 2, usage text on stderr
@@ -20,13 +22,14 @@ Cases:
   * empty --perf-json path -> exit 2, diagnostic on stderr
   * bad --mem value        -> exit 2, diagnostic on stderr
   * trailing junk (--images 2x), zero/negative --images, negative
-    --seed, zero --scale/--max-events, --floor outside [0, 1] or NaN
+    --seed (run); zero --scale, --floor outside [0, 1] or NaN
+    (prune); zero --max-events (trace)
                            -> exit 2, diagnostic on stderr
   * empty --report-json/--report-csv/--trace-out/--stall-csv/--out
     path                   -> exit 2, diagnostic on stderr
 
-With ``--bench BENCH`` a bench binary's shared argument parser
-(bench/common.h) is smoked too:
+With ``--bench BENCH`` a bench binary's command line (the same
+option table, driver/options.h) is smoked too:
   * non-numeric --images   -> exit 2, diagnostic on stderr
   * non-numeric --seed     -> exit 2, diagnostic on stderr
   * trailing junk (--images 2x) -> exit 2, diagnostic on stderr
@@ -34,6 +37,8 @@ With ``--bench BENCH`` a bench binary's shared argument parser
   * zero --jobs            -> exit 2, diagnostic on stderr
   * bad --mem value        -> exit 2, diagnostic on stderr
   * zero/negative --images -> exit 2, diagnostic on stderr
+  * --images given last, without a value
+                           -> exit 2, usage text on stderr
   * empty --json/--trace-out path
                            -> exit 2, diagnostic on stderr
   * --json/--trace-out on a bench that writes no such file (BENCH
@@ -90,6 +95,11 @@ def main(argv: list[str]) -> int:
     expect("unknown flag",
            run(cnvsim, "run", "alex", "--bogus-flag"),
            2, ["usage:"])
+    # Each command accepts only the flags it reads.
+    for label, args in [("list --bogus", ["list", "--bogus"]),
+                        ("archs --idz", ["archs", "--idz"]),
+                        ("zfnaf --arch", ["zfnaf", "nin", "--arch", "cnv"])]:
+        expect(f"unread flag {label}", run(cnvsim, *args), 2, ["usage:"])
     expect("malformed flag value",
            run(cnvsim, "run", "alex", "--images", "notanumber"),
            2, ["invalid value", "--images"])
@@ -124,14 +134,17 @@ def main(argv: list[str]) -> int:
 
     # Strict numbers: the whole value must parse, in range, with no
     # sign wrap-around (a negative seed used to become 2^64 - 1).
-    bad_numbers = [("--images", "2x"), ("--images", "0"),
-                   ("--images", "-3"), ("--seed", "-1"),
-                   ("--scale", "0"), ("--max-events", "0"),
-                   ("--floor", "1.5"), ("--floor", "-0.1"),
-                   ("--floor", "nan")]
-    for flag, value in bad_numbers:
+    # Each case runs on a command that reads the flag.
+    bad_numbers = [("run", "--images", "2x"), ("run", "--images", "0"),
+                   ("run", "--images", "-3"), ("run", "--seed", "-1"),
+                   ("prune", "--scale", "0"),
+                   ("trace", "--max-events", "0"),
+                   ("prune", "--floor", "1.5"),
+                   ("prune", "--floor", "-0.1"),
+                   ("prune", "--floor", "nan")]
+    for command, flag, value in bad_numbers:
         expect(f"bad {flag} {value}",
-               run(cnvsim, "run", "nin", f"{flag}={value}"),
+               run(cnvsim, command, "nin", f"{flag}={value}"),
                2, ["invalid value", flag, value])
     # Empty output paths used to exit 0 and silently write nothing.
     for command, flag in [("run", "--report-json"),
@@ -143,30 +156,33 @@ def main(argv: list[str]) -> int:
                run(cnvsim, command, "nin", f"{flag}="),
                2, ["invalid value", flag])
 
-    cases = 11 + len(bad_numbers) + 5
+    cases = 14 + len(bad_numbers) + 5
     if bench is not None:
         expect("bench non-numeric --images",
                run(bench, "--images", "notanumber"),
-               2, ["invalid numeric value", "--images"])
+               2, ["invalid value", "--images"])
         expect("bench non-numeric --seed",
                run(bench, "--seed", "twenty"),
-               2, ["invalid numeric value", "--seed"])
+               2, ["invalid value", "--seed"])
         expect("bench trailing junk in --images",
                run(bench, "--images", "2x"),
-               2, ["invalid numeric value", "2x"])
+               2, ["invalid value", "2x"])
         expect("bench trailing junk in --jobs",
                run(bench, "--jobs", "2x"),
-               2, ["invalid numeric value", "--jobs"])
+               2, ["invalid value", "--jobs"])
         expect("bench zero --jobs",
                run(bench, "--jobs", "0"),
-               2, ["invalid numeric value", "--jobs"])
+               2, ["invalid value", "--jobs"])
         expect("bench bad --mem value",
                run(bench, "--mem", "bogus"),
                2, ["invalid value", "--mem"])
         for value in ("0", "-2"):
             expect(f"bench --images {value}",
                    run(bench, f"--images={value}"),
-                   2, ["invalid numeric value", "--images", value])
+                   2, ["invalid value", "--images", value])
+        expect("bench --images without a value",
+               run(bench, "--quick", "--images"),
+               2, ["missing value", "--images", "options:"])
         for flag in ("--json", "--trace-out"):
             expect(f"bench empty {flag} path",
                    run(bench, f"{flag}="),
@@ -180,7 +196,7 @@ def main(argv: list[str]) -> int:
                 if out.exists():
                     problems.append(f"bench unsupported {flag}: "
                                     f"{out.name} was written")
-        cases += 12
+        cases += 13
 
     for p in problems:
         print(f"smoke_cli_errors: {p}", file=sys.stderr)

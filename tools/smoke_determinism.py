@@ -30,6 +30,10 @@ google``: its per-image forward passes advance on the pool, so its
 stdout (the thresholds, speedup and accuracy) must be byte-identical
 between the two job counts.
 
+A last check runs ``cnvsim reproduce --images 1`` under both memory
+models: the banked run's CNV speedup column must differ from the
+ideal run's, or ``--mem`` is not reaching the experiment.
+
 The JSON writer emits one key per line, so dropping the brace-
 balanced ``hostProfile`` block and then filtering whole lines
 containing the two volatile keys is exact, not heuristic. (String
@@ -181,6 +185,31 @@ def compare_prune_pair(cnvsim: str) -> int:
     return 0
 
 
+def check_reproduce_mem(cnvsim: str) -> int:
+    """``reproduce --mem banked`` must change the CNV column; 0 if so."""
+    columns = {}
+    for mem in ("ideal", "banked"):
+        proc = subprocess.run(
+            [cnvsim, "reproduce", "--images", "1", "--mem", mem],
+            capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"smoke_determinism: reproduce --mem {mem} failed "
+                  f"(exit {proc.returncode}): {proc.stderr}",
+                  file=sys.stderr)
+            return 1
+        # The six network rows: network, zero operands, CNV speedup.
+        names = ("alex", "google", "nin", "vgg19", "cnnM", "cnnS")
+        columns[mem] = [l.split()[2] for l in proc.stdout.splitlines()
+                        if l.split()[:1] and l.split()[0] in names]
+    if columns["ideal"] == columns["banked"]:
+        print("smoke_determinism: reproduce: --mem banked gives the "
+              f"ideal CNV column {columns['ideal']}", file=sys.stderr)
+        return 1
+    print("smoke_determinism: reproduce: --mem banked changes the CNV "
+          "column")
+    return 0
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -198,6 +227,7 @@ def main(argv: list[str]) -> int:
         ["--arch", "dadiannao,cnv,cnv2"])
     failures += compare_trace_pair(cnvsim, outdir)
     failures += compare_prune_pair(cnvsim)
+    failures += check_reproduce_mem(cnvsim)
     return 1 if failures else 0
 
 

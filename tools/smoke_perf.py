@@ -22,7 +22,9 @@ contract (docs/observability.md, "Host telemetry"):
     each with utilization in [0, 1].
 
 A second run with ``--progress on`` asserts the live meter reaches
-stderr (the final line is printed unconditionally when forced on).
+stderr (the final line is printed unconditionally when forced on),
+and a third with ``--mem banked`` asserts the manifest records
+``"mem": "banked"`` (ideal runs omit the key).
 
 Usage: smoke_perf.py CNVSIM OUTDIR
 """
@@ -121,6 +123,21 @@ def main(argv: list[str]) -> int:
     elif "runs/s" not in proc.stderr or "nin" not in proc.stderr:
         problems.append(f"--progress on produced no meter on stderr "
                         f"(stderr was: {proc.stderr!r})")
+
+    if "mem" in manifest:
+        problems.append(f"ideal-memory manifest has mem "
+                        f"{manifest['mem']!r}; ideal runs omit the key")
+    banked = outdir / "perf-banked.json"
+    proc = subprocess.run(
+        [cnvsim, *RUN_ARGS, "--mem", "banked", "--perf-json", str(banked)],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        problems.append(f"--mem banked run failed "
+                        f"(exit {proc.returncode}): {proc.stderr}")
+    else:
+        mem = json.loads(banked.read_text()).get("manifest", {}).get("mem")
+        if mem != "banked":
+            problems.append(f"--mem banked manifest.mem is {mem!r}")
 
     for p in problems:
         print(f"smoke_perf: {p}", file=sys.stderr)
