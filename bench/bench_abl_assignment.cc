@@ -17,29 +17,23 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    const auto opts = bench::parseArgs(
+        argc, argv, {"--images", "--seed", "--csv", "--jobs", "--mem"});
 
-    sim::Table t({"network", "ZOnly", "XYZHash", "WindowEven (default)"});
-    double sums[3] = {0, 0, 0};
-    for (auto id : nn::zoo::allNetworks()) {
-        std::vector<std::string> row{nn::zoo::netName(id)};
-        int i = 0;
-        for (auto policy : {dadiannao::LaneAssignment::ZOnly,
-                            dadiannao::LaneAssignment::XYZHash,
-                            dadiannao::LaneAssignment::WindowEven}) {
-            driver::ExperimentConfig cfg = opts.experiment;
-            cfg.node.laneAssignment = policy;
-            const auto r = driver::evaluateZooNetwork(cfg, id);
-            sums[i++] += r.speedup();
-            row.push_back(sim::Table::num(r.speedup()));
-        }
-        t.addRow(std::move(row));
+    std::vector<driver::ExperimentConfig> configs;
+    for (auto policy : {dadiannao::LaneAssignment::ZOnly,
+                        dadiannao::LaneAssignment::XYZHash,
+                        dadiannao::LaneAssignment::WindowEven}) {
+        configs.push_back(opts.experiment);
+        configs.back().node.laneAssignment = policy;
     }
-    t.addRow({"average", sim::Table::num(sums[0] / 6),
-              sim::Table::num(sums[1] / 6), sim::Table::num(sums[2] / 6)});
+    timing::TraceCache cache;
     bench::emit(opts,
                 "Ablation: CNV speedup under different brick-to-lane "
                 "assignments",
-                t);
+                bench::speedupTable({"network", "ZOnly", "XYZHash",
+                                     "WindowEven (default)"},
+                                    bench::Zoo(opts.experiment.seed),
+                                    configs, cache, /*average=*/true));
     return 0;
 }

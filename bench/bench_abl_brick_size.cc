@@ -15,15 +15,19 @@
 #include "common.h"
 #include "sim/error.h"
 #include "sim/logging.h"
-#include "timing/network_model.h"
 
 using namespace cnv;
 
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    const auto opts = bench::parseArgs(
+        argc, argv, {"--images", "--seed", "--csv", "--jobs", "--mem"});
 
+    const bench::Zoo zoo(opts.experiment.seed);
+    // Count maps are keyed by brick size, so one cache serves every
+    // geometry.
+    timing::TraceCache cache;
     sim::Table t({"brick size", "offset bits", "NM capacity overhead",
                   "avg CNV speedup vs same-lane baseline"});
     for (int brick : {4, 8, 16, 32}) {
@@ -32,27 +36,19 @@ main(int argc, char **argv)
         cfg.node.lanes = brick;
         cfg.node.nmBanks = brick; // one bank per lane
 
-        double sum = 0.0;
-        int n = 0, skipped = 0;
-        for (auto id : nn::zoo::allNetworks()) {
-            const auto net = nn::zoo::build(id, cfg.seed);
+        std::vector<driver::NetworkReport> reports;
+        for (const nn::Network *net : zoo.nets) {
             // Grouped convolutions whose group depth is not a brick
             // multiple (alex at brick 32) are skipped quietly.
             const auto verbosity = sim::verbosity();
             sim::setVerbosity(sim::Verbosity::Silent);
             try {
-                const double s =
-                    timing::speedup(cfg.node, *net, cfg.images, cfg.seed);
-                sim::setVerbosity(verbosity);
-                sum += s;
-                ++n;
+                reports.push_back(driver::evaluateNetworkArchs(
+                    cfg, *net, arch::canonicalPair(), nullptr, &cache));
             } catch (const sim::FatalError &) {
-                sim::setVerbosity(verbosity);
-                ++skipped;
             }
+            sim::setVerbosity(verbosity);
         }
-        sum /= n;
-        (void)skipped;
         int offsetBits = 0;
         while ((1 << offsetBits) < brick)
             ++offsetBits;
@@ -60,7 +56,7 @@ main(int argc, char **argv)
         t.addRow({std::to_string(brick) + (brick == 16 ? " (paper)" : ""),
                   std::to_string(offsetBits),
                   sim::Table::pct(offsetBits / 16.0),
-                  sim::Table::num(sum)});
+                  sim::Table::num(driver::meanSpeedup(reports))});
     }
     bench::emit(opts, "Ablation: ZFNAf brick size", t);
     return 0;

@@ -17,41 +17,33 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    const auto opts = bench::parseArgs(
+        argc, argv, {"--images", "--seed", "--csv", "--jobs", "--mem"});
 
-    {
-        sim::Table t({"network", "empty brick = 1 cycle (default)",
-                      "empty brick free"});
-        for (auto id : nn::zoo::allNetworks()) {
-            std::vector<std::string> row{nn::zoo::netName(id)};
-            for (bool costs : {true, false}) {
-                driver::ExperimentConfig cfg = opts.experiment;
-                cfg.node.emptyBrickCostsCycle = costs;
-                const auto r = driver::evaluateZooNetwork(cfg, id);
-                row.push_back(sim::Table::num(r.speedup()));
-            }
-            t.addRow(std::move(row));
-        }
-        bench::emit(opts, "Ablation: cost of all-zero bricks", t);
-    }
+    const bench::Zoo zoo(opts.experiment.seed);
+    timing::TraceCache cache;
 
-    {
-        sim::Table t({"network", "1 window", "2 windows",
-                      "4 windows (default)", "8 windows"});
-        for (auto id : nn::zoo::allNetworks()) {
-            std::vector<std::string> row{nn::zoo::netName(id)};
-            for (int nbout : {16, 32, 64, 128}) {
-                driver::ExperimentConfig cfg = opts.experiment;
-                cfg.node.nboutEntries = nbout;
-                const auto r = driver::evaluateZooNetwork(cfg, id);
-                row.push_back(sim::Table::num(r.speedup()));
-            }
-            t.addRow(std::move(row));
-        }
-        bench::emit(opts,
-                    "Ablation: NBout depth (windows in flight between "
-                    "synchronisations)",
-                    t);
+    std::vector<driver::ExperimentConfig> emptyBrick;
+    for (bool costs : {true, false}) {
+        emptyBrick.push_back(opts.experiment);
+        emptyBrick.back().node.emptyBrickCostsCycle = costs;
     }
+    bench::emit(opts, "Ablation: cost of all-zero bricks",
+                bench::speedupTable({"network",
+                                     "empty brick = 1 cycle (default)",
+                                     "empty brick free"},
+                                    zoo, emptyBrick, cache));
+
+    std::vector<driver::ExperimentConfig> nbout;
+    for (int entries : {16, 32, 64, 128}) {
+        nbout.push_back(opts.experiment);
+        nbout.back().node.nboutEntries = entries;
+    }
+    bench::emit(opts,
+                "Ablation: NBout depth (windows in flight between "
+                "synchronisations)",
+                bench::speedupTable({"network", "1 window", "2 windows",
+                                     "4 windows (default)", "8 windows"},
+                                    zoo, nbout, cache));
     return 0;
 }

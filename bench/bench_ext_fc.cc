@@ -17,29 +17,36 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    const auto opts = bench::parseArgs(
+        argc, argv, {"--images", "--seed", "--csv", "--jobs", "--mem"});
+
+    const bench::Zoo zoo(opts.experiment.seed);
+    timing::TraceCache cache;
+    auto evaluate = [&](bool fcSkip) {
+        driver::ExperimentConfig cfg = opts.experiment;
+        cfg.node.cnvSkipsFcLayers = fcSkip;
+        return driver::evaluateNetworks(cfg, zoo.nets, arch::canonicalPair(),
+                                        nullptr, &cache);
+    };
+    const auto convOnlyReports = evaluate(false);
+    const auto withFcReports = evaluate(true);
 
     sim::Table t({"network", "CNV (conv only, paper)",
                   "CNV + FC skipping", "delta"});
     double sums[2] = {0, 0};
-    for (auto id : nn::zoo::allNetworks()) {
-        double speedups[2];
-        int i = 0;
-        for (bool fcSkip : {false, true}) {
-            driver::ExperimentConfig cfg = opts.experiment;
-            cfg.node.cnvSkipsFcLayers = fcSkip;
-            const auto r = driver::evaluateZooNetwork(cfg, id);
-            speedups[i] = r.speedup();
-            sums[i] += r.speedup();
-            ++i;
-        }
-        t.addRow({nn::zoo::netName(id), sim::Table::num(speedups[0]),
-                  sim::Table::num(speedups[1]),
-                  "+" + sim::Table::num(speedups[1] - speedups[0])});
+    for (std::size_t n = 0; n < zoo.nets.size(); ++n) {
+        const double convOnly = convOnlyReports[n].speedup();
+        const double withFc = withFcReports[n].speedup();
+        sums[0] += convOnly;
+        sums[1] += withFc;
+        t.addRow({zoo.nets[n]->name(), sim::Table::num(convOnly),
+                  sim::Table::num(withFc),
+                  "+" + sim::Table::num(withFc - convOnly)});
     }
-    t.addRow({"average", sim::Table::num(sums[0] / 6),
-              sim::Table::num(sums[1] / 6),
-              "+" + sim::Table::num((sums[1] - sums[0]) / 6)});
+    const auto count = static_cast<double>(zoo.nets.size());
+    t.addRow({"average", sim::Table::num(sums[0] / count),
+              sim::Table::num(sums[1] / count),
+              "+" + sim::Table::num((sums[1] - sums[0]) / count)});
     bench::emit(opts,
                 "Extension: CNV zero skipping applied to "
                 "fully-connected layers",

@@ -18,7 +18,7 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    const auto opts = bench::parseArgs(argc, argv, {"--seed", "--csv"});
 
     const struct
     {

@@ -53,8 +53,9 @@ figureOne(const bench::Options &opts)
 {
     sim::Table t({"network", "zero operands (measured)", "stddev",
                   "paper (Fig. 1)"});
+    const auto ids = nn::zoo::allNetworks();
     double sum = 0.0;
-    for (auto id : nn::zoo::allNetworks()) {
+    for (auto id : ids) {
         const auto net = nn::zoo::build(id, opts.experiment.seed);
         double mean = 0.0, sq = 0.0;
         for (int i = 0; i < opts.experiment.images; ++i) {
@@ -70,7 +71,9 @@ figureOne(const bench::Options &opts)
                   sim::Table::pct(var > 0 ? std::sqrt(var) : 0.0),
                   sim::Table::pct(paperZeroFraction(id))});
     }
-    t.addRow({"average", sim::Table::pct(sum / 6), "", "44.0%"});
+    t.addRow({"average",
+              sim::Table::pct(sum / static_cast<double>(ids.size())), "",
+              "44.0%"});
     bench::emit(opts,
                 "Figure 1: fraction of conv multiplication operands that "
                 "are zero neurons",
@@ -120,7 +123,8 @@ zeroStability(const bench::Options &opts)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 4);
+    const auto opts = bench::parseArgs(
+        argc, argv, {"--images", "--seed", "--csv", "--quick"}, 4);
     tableOne(opts);
     figureOne(opts);
     if (!opts.quick)

@@ -62,8 +62,11 @@ paperCnvPruned(nn::zoo::NetId id)
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(
-        argc, argv, 2, driver::kJsonArtifact | driver::kTraceOut);
+    const auto opts = bench::parseArgs(argc, argv,
+                                       {"--images", "--seed", "--csv",
+                                        "--quick", "--json", "--trace-out",
+                                        "--jobs", "--mem"},
+                                       2);
 
     const driver::ExperimentConfig &cfg = opts.experiment;
     std::cout << "node: " << cfg.node.describe() << '\n';
@@ -73,56 +76,40 @@ main(int argc, char **argv)
     search.timingImages = 1;
     search.seed = cfg.seed + 7;
 
-    const auto threeArchs =
-        arch::builtin().select("dadiannao,cnv,cnv2");
-    sim::Table t({"network", "CNV", "paper CNV (approx)", "CNV2",
-                  "CNV banked ovh.", "CNV+Pruning",
-                  "paper CNV+Pruning"});
-    sim::StatGroup fig("fig09");
-    sim::TraceSink trace;
-    std::uint32_t tracePid = 1;
+    // Host phases (hostProfile.phases): the networks are built,
+    // evaluated, then reported; emplace() closes the previous one.
+    std::optional<sim::ScopedPhase> phase;
+    phase.emplace("build");
+    const bench::Zoo zoo(cfg.seed);
+    const auto ids = nn::zoo::allNetworks();
+
+    phase.emplace("evaluate");
     // One trace cache across the main sweep and the banked
     // comparison runs: synthesis keys are memory-model-independent,
     // so the extra runs hit instead of resynthesizing.
     timing::TraceCache cache;
-    double sumPlain = 0.0, sumCnv2 = 0.0, sumPruned = 0.0;
-    double sumBankedOvh = 0.0;
-    for (auto id : nn::zoo::allNetworks()) {
-        // Host phases (hostProfile.phases): each network is built,
-        // evaluated, then reported; emplace() closes the previous one.
-        std::optional<sim::ScopedPhase> phase;
-        phase.emplace("build");
-        const auto net = nn::zoo::build(id, cfg.seed);
-        phase.emplace("evaluate");
-        const auto plain = driver::evaluateNetworkArchs(
-            cfg, *net, threeArchs, nullptr, &cache);
-        const double cnv2Speedup = plain.speedupOf("dadiannao", "cnv2");
+    const auto plain = driver::evaluateNetworks(
+        cfg, zoo.nets, arch::builtin().select("dadiannao,cnv,cnv2"),
+        nullptr, &cache);
+    // Banked-vs-ideal CNV comparison: one extra CNV-only sweep with
+    // the memory model the main sweep did not use, so the artifact
+    // always carries both cycle counts regardless of the --mem
+    // selection.
+    const bool mainBanked = cfg.memKind == mem::Kind::Banked;
+    driver::ExperimentConfig altCfg = cfg;
+    altCfg.memKind = mainBanked ? mem::Kind::Ideal : mem::Kind::Banked;
+    const auto alt = driver::evaluateNetworks(
+        altCfg, zoo.nets, arch::builtin().select("cnv"), nullptr, &cache);
 
-        // Banked-vs-ideal CNV comparison: one extra CNV-only run
-        // with the memory model the main sweep did not use, so the
-        // artifact always carries both cycle counts regardless of
-        // the --mem selection.
-        const bool mainBanked = cfg.memKind == mem::Kind::Banked;
-        driver::ExperimentConfig altCfg = cfg;
-        altCfg.memKind =
-            mainBanked ? mem::Kind::Ideal : mem::Kind::Banked;
-        const auto alt = driver::evaluateNetworkArchs(
-            altCfg, *net, arch::builtin().select("cnv"), nullptr,
-            &cache);
-        const std::uint64_t cnvIdealCycles =
-            (mainBanked ? alt : plain).arch("cnv").cycles;
-        const std::uint64_t cnvBankedCycles =
-            (mainBanked ? plain : alt).arch("cnv").cycles;
-        const double bankedOverhead =
-            static_cast<double>(cnvBankedCycles) /
-            static_cast<double>(cnvIdealCycles);
-
-        if (!opts.traceOut.empty()) {
-            // One timeline per (network, architecture) pair, on the
-            // manifest's root seed like the driver reports.
-            timing::RunOptions ropts;
-            ropts.imageSeed = cfg.seed;
-            ropts.memKind = cfg.memKind;
+    sim::TraceSink trace;
+    if (!opts.traceOut.empty()) {
+        // One timeline per (network, architecture) pair, on the
+        // manifest's root seed like the driver reports.
+        timing::RunOptions ropts;
+        ropts.imageSeed = cfg.seed;
+        ropts.memKind = cfg.memKind;
+        std::uint32_t tracePid = 1;
+        for (const nn::Network *net : zoo.nets)
             for (const char *archId : {"cnv", "cnv2", "dadiannao"}) {
                 const auto &model = arch::builtin().get(archId);
                 driver::appendNetworkTrace(
@@ -130,73 +117,92 @@ main(int argc, char **argv)
                     tracePid++,
                     sim::strfmt("{} ({})", archId, net->name()));
             }
-        }
+    }
 
-        double pruned = plain.speedup();
-        if (!opts.quick) {
-            auto accNet = nn::zoo::build(id, cfg.seed, cfg.accuracyScale);
+    // CNV+Pruning: each network's own lossless thresholds, so one
+    // evaluation per network.
+    std::vector<driver::NetworkReport> pruned;
+    if (!opts.quick)
+        for (std::size_t n = 0; n < ids.size(); ++n) {
+            auto accNet =
+                nn::zoo::build(ids[n], cfg.seed, cfg.accuracyScale);
             accNet->calibrate();
-            const auto point =
-                pruning::searchLossless(cfg.node, *net, *accNet, search);
-            const auto prunedReport =
-                driver::evaluateNetwork(cfg, *net, &point.config);
-            pruned = prunedReport.speedup();
+            const auto point = pruning::searchLossless(
+                cfg.node, *zoo.nets[n], *accNet, search);
+            pruned.push_back(driver::evaluateNetworkArchs(
+                cfg, *zoo.nets[n], arch::canonicalPair(), &point.config));
         }
 
-        phase.emplace("report");
-        sumPlain += plain.speedup();
+    phase.emplace("report");
+    sim::Table t({"network", "CNV", "paper CNV (approx)", "CNV2",
+                  "CNV banked ovh.", "CNV+Pruning",
+                  "paper CNV+Pruning"});
+    sim::StatGroup fig("fig09");
+    double sumCnv2 = 0.0, sumBankedOvh = 0.0;
+    for (std::size_t n = 0; n < ids.size(); ++n) {
+        const nn::zoo::NetId id = ids[n];
+        const driver::NetworkReport &r = plain[n];
+        const double cnv2Speedup = r.speedupOf("dadiannao", "cnv2");
+        const std::uint64_t cnvIdealCycles =
+            (mainBanked ? alt[n] : r).arch("cnv").cycles;
+        const std::uint64_t cnvBankedCycles =
+            (mainBanked ? r : alt[n]).arch("cnv").cycles;
+        const double bankedOverhead =
+            static_cast<double>(cnvBankedCycles) /
+            static_cast<double>(cnvIdealCycles);
         sumCnv2 += cnv2Speedup;
-        sumPruned += pruned;
         sumBankedOvh += bankedOverhead;
-        t.addRow({nn::zoo::netName(id),
-                  sim::Table::num(plain.speedup()),
+        t.addRow({r.name, sim::Table::num(r.speedup()),
                   sim::Table::num(paperCnv(id)),
                   sim::Table::num(cnv2Speedup),
                   sim::Table::num(bankedOverhead),
-                  opts.quick ? "(skipped)" : sim::Table::num(pruned),
+                  opts.quick ? "(skipped)"
+                             : sim::Table::num(pruned[n].speedup()),
                   sim::Table::num(paperCnvPruned(id))});
 
-        auto &g = fig.addGroup(std::string(nn::zoo::netName(id)));
+        auto &g = fig.addGroup(r.name);
         g.addCounter("baselineCycles", "baseline cycles over images") +=
-            plain.arch("dadiannao").cycles;
+            r.arch("dadiannao").cycles;
         g.addCounter("cnvCycles", "CNV cycles over images") +=
-            plain.arch("cnv").cycles;
+            r.arch("cnv").cycles;
         g.addCounter("cnv2Cycles", "Cnvlutin2 cycles over images") +=
-            plain.arch("cnv2").cycles;
+            r.arch("cnv2").cycles;
         g.addCounter("cnvBankedCycles",
                      "CNV cycles over images under --mem banked") +=
             cnvBankedCycles;
         g.addScalar("bankedOverhead",
                     "CNV banked-over-ideal cycle ratio") = bankedOverhead;
-        g.addScalar("speedup", "measured CNV speedup") = plain.speedup();
+        g.addScalar("speedup", "measured CNV speedup") = r.speedup();
         g.addScalar("cnv2Speedup", "measured Cnvlutin2 speedup") =
             cnv2Speedup;
         g.addScalar("paperSpeedup", "paper's Figure 9 bar (approx)") =
             paperCnv(id);
         if (!opts.quick)
             g.addScalar("prunedSpeedup", "measured CNV+Pruning speedup") =
-                pruned;
+                pruned[n].speedup();
         g.addScalar("paperPrunedSpeedup", "paper's Table II speedup") =
             paperCnvPruned(id);
     }
-    std::optional<sim::ScopedPhase> phase;
-    phase.emplace("report");
-    t.addRow({"average", sim::Table::num(sumPlain / 6), "1.37",
-              sim::Table::num(sumCnv2 / 6),
-              sim::Table::num(sumBankedOvh / 6),
-              opts.quick ? "(skipped)" : sim::Table::num(sumPruned / 6),
+    const auto count = static_cast<double>(plain.size());
+    const double average = driver::meanSpeedup(plain);
+    t.addRow({"average", sim::Table::num(average), "1.37",
+              sim::Table::num(sumCnv2 / count),
+              sim::Table::num(sumBankedOvh / count),
+              opts.quick ? "(skipped)"
+                         : sim::Table::num(driver::meanSpeedup(pruned)),
               "1.52"});
     fig.addScalar("averageSpeedup", "arithmetic mean of CNV speedups") =
-        sumPlain / 6;
+        average;
     fig.addScalar("averageCnv2Speedup",
-                  "arithmetic mean of Cnvlutin2 speedups") = sumCnv2 / 6;
+                  "arithmetic mean of Cnvlutin2 speedups") =
+        sumCnv2 / count;
     fig.addScalar("averageBankedOverhead",
                   "arithmetic mean of CNV banked-over-ideal ratios") =
-        sumBankedOvh / 6;
+        sumBankedOvh / count;
     if (!opts.quick)
         fig.addScalar("averagePrunedSpeedup",
                       "arithmetic mean of CNV+Pruning speedups") =
-            sumPruned / 6;
+            driver::meanSpeedup(pruned);
     bench::emit(opts, "Figure 9: speedup of CNV over the baseline", t);
     phase.reset();
     bench::writeFigureArtifact(opts, "fig09_speedup", fig);

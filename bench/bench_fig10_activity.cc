@@ -30,7 +30,9 @@ breakdownRow(const std::string &label, const dadiannao::Activity &a,
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 2, driver::kJsonArtifact);
+    const auto opts = bench::parseArgs(
+        argc, argv,
+        {"--images", "--seed", "--csv", "--json", "--jobs", "--mem"}, 2);
 
     const driver::ExperimentConfig &cfg = opts.experiment;
     std::cout << "node: " << cfg.node.describe() << '\n';
@@ -52,17 +54,16 @@ main(int argc, char **argv)
                     "total events normalised to the baseline's") =
             static_cast<double>(a.total()) / norm;
     };
-    for (auto id : nn::zoo::allNetworks()) {
-        const auto report = driver::evaluateZooNetwork(cfg, id);
+    const bench::Zoo zoo(cfg.seed);
+    for (const auto &report :
+         driver::evaluateNetworks(cfg, zoo.nets, arch::canonicalPair())) {
         const auto &baseAct = report.arch("dadiannao").activity;
         const auto &cnvAct = report.arch("cnv").activity;
         const double norm = static_cast<double>(baseAct.total());
-        t.addRow(breakdownRow(std::string(nn::zoo::netName(id)) + " (b)",
-                              baseAct, norm));
-        t.addRow(breakdownRow(std::string(nn::zoo::netName(id)) + " (c)",
-                              cnvAct, norm));
+        t.addRow(breakdownRow(report.name + " (b)", baseAct, norm));
+        t.addRow(breakdownRow(report.name + " (c)", cnvAct, norm));
 
-        auto &g = fig.addGroup(std::string(nn::zoo::netName(id)));
+        auto &g = fig.addGroup(report.name);
         fillActivity(g.addGroup("baseline"), baseAct, norm);
         fillActivity(g.addGroup("cnv"), cnvAct, norm);
     }

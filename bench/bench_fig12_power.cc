@@ -16,7 +16,8 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    const auto opts = bench::parseArgs(
+        argc, argv, {"--images", "--seed", "--csv", "--jobs", "--mem"});
 
     const driver::ExperimentConfig &cfg = opts.experiment;
     std::cout << "node: " << cfg.node.describe() << '\n';
@@ -34,15 +35,18 @@ main(int argc, char **argv)
         into.sramDynamic += p.sramDynamic * w;
     };
 
-    for (auto id : nn::zoo::allNetworks()) {
-        const auto r = driver::evaluateZooNetwork(cfg, id);
+    const bench::Zoo zoo(cfg.seed);
+    const auto reports =
+        driver::evaluateNetworks(cfg, zoo.nets, arch::canonicalPair());
+    const double weight = 1.0 / static_cast<double>(reports.size());
+    for (const auto &r : reports) {
         const auto &base = r.arch("dadiannao");
         const auto &cnvAgg = r.arch("cnv");
         accumulate(baseAvg, base.model->power(base.energy, base.cycles),
-                   1.0 / 6);
+                   weight);
         accumulate(cnvAvg,
                    cnvAgg.model->power(cnvAgg.energy, cnvAgg.cycles),
-                   1.0 / 6);
+                   weight);
     }
 
     const double norm = baseAvg.total();

@@ -14,7 +14,8 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    const auto opts = bench::parseArgs(
+        argc, argv, {"--images", "--seed", "--csv", "--jobs", "--mem"});
 
     const driver::ExperimentConfig &cfg = opts.experiment;
     std::cout << "node: " << cfg.node.describe() << '\n';
@@ -22,8 +23,10 @@ main(int argc, char **argv)
     sim::Table t({"network", "speedup", "EDP improvement",
                   "ED^2P improvement"});
     double sumEdp = 0.0, sumEd2p = 0.0;
-    for (auto id : nn::zoo::allNetworks()) {
-        const auto r = driver::evaluateZooNetwork(cfg, id);
+    const bench::Zoo zoo(cfg.seed);
+    const auto reports =
+        driver::evaluateNetworks(cfg, zoo.nets, arch::canonicalPair());
+    for (const auto &r : reports) {
         const auto &base = r.arch("dadiannao");
         const auto &cnvAgg = r.arch("cnv");
         const auto mb = base.model->metrics(base.energy, base.cycles);
@@ -33,11 +36,12 @@ main(int argc, char **argv)
         const double ed2p = mb.ed2p / mc.ed2p;
         sumEdp += edp;
         sumEd2p += ed2p;
-        t.addRow({nn::zoo::netName(id), sim::Table::num(r.speedup()),
+        t.addRow({r.name, sim::Table::num(r.speedup()),
                   sim::Table::num(edp), sim::Table::num(ed2p)});
     }
-    t.addRow({"average", "", sim::Table::num(sumEdp / 6),
-              sim::Table::num(sumEd2p / 6)});
+    const auto count = static_cast<double>(reports.size());
+    t.addRow({"average", "", sim::Table::num(sumEdp / count),
+              sim::Table::num(sumEd2p / count)});
     t.addRow({"paper average", "1.37", "1.47", "2.01"});
     bench::emit(opts,
                 "Figure 13: EDP and ED^2P improvement of CNV over "

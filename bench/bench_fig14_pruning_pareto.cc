@@ -18,7 +18,8 @@ using namespace cnv;
 int
 main(int argc, char **argv)
 {
-    const auto opts = bench::parseArgs(argc, argv, 1);
+    const auto opts = bench::parseArgs(
+        argc, argv, {"--seed", "--csv", "--quick", "--jobs"});
 
     const driver::ExperimentConfig &cfg = opts.experiment;
 

@@ -5,7 +5,7 @@
  * DESIGN.md's per-experiment index) and prints the same rows the
  * paper reports, plus the paper's value for comparison. Benches
  * parse their options with cnvsim's option table (driver/options.h);
- * --help lists them.
+ * each accepts only the flags it reads, and --help lists them.
  */
 
 #ifndef CNV_BENCH_COMMON_H
@@ -14,12 +14,15 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "driver/driver.h"
 #include "driver/options.h"
 #include "driver/run_manifest.h"
+#include "nn/zoo/zoo.h"
 #include "sim/metrics.h"
 #include "sim/parallel.h"
 #include "sim/stats_export.h"
@@ -30,13 +33,14 @@ namespace cnv::bench {
 using Options = driver::BenchOptions;
 
 /**
- * Parse the command line (driver::parseBenchArgs), configure the
- * worker pool and turn on telemetry. A malformed command line exits
- * 2 with its diagnostic; --help prints the usage text and exits 0.
+ * Parse the command line (driver::parseBenchArgs) of a bench reading
+ * `flags`, configure the worker pool and turn on telemetry. A
+ * malformed command line, or a flag not in `flags`, exits 2 with its
+ * diagnostic; --help prints the usage text and exits 0.
  */
 inline Options
-parseArgs(int argc, char **argv, int defaultImages = 2,
-          unsigned outputs = driver::kNoOutput)
+parseArgs(int argc, char **argv, std::vector<std::string_view> flags,
+          int defaultImages = 1)
 {
     // Benches always profile themselves: the hostProfile block of
     // their --json artifacts is what the perf-regression gate
@@ -46,20 +50,67 @@ parseArgs(int argc, char **argv, int defaultImages = 2,
     const std::vector<std::string> args(argv + 1, argv + argc);
     Options opts;
     try {
-        opts = driver::parseBenchArgs(args, defaultImages, outputs);
+        opts = driver::parseBenchArgs(args, defaultImages, flags);
     } catch (const driver::UsageError &e) {
         std::cerr << e.what() << '\n';
         if (e.showUsage())
-            std::cerr << driver::benchUsage(outputs);
+            std::cerr << driver::benchUsage(flags);
         std::exit(2);
     }
     if (opts.help) {
-        std::cout << driver::benchUsage(outputs);
+        std::cout << driver::benchUsage(flags);
         std::exit(0);
     }
     if (opts.jobs > 0)
         sim::setJobCount(opts.jobs);
     return opts;
+}
+
+/** The zoo networks in nn::zoo::allNetworks() order, built once. */
+struct Zoo
+{
+    std::vector<std::unique_ptr<nn::Network>> owned;
+    /** The same networks, as driver::evaluateNetworks() takes them. */
+    std::vector<const nn::Network *> nets;
+
+    explicit Zoo(std::uint64_t seed)
+    {
+        for (nn::zoo::NetId id : nn::zoo::allNetworks()) {
+            owned.push_back(nn::zoo::build(id, seed));
+            nets.push_back(owned.back().get());
+        }
+    }
+};
+
+/**
+ * The canonical speedup, one row per zoo network and one column per
+ * configuration in `configs` (one driver::evaluateNetworks() sweep
+ * each, all sharing `cache`), under `header`. With `average`, a row
+ * of driver::meanSpeedup() follows.
+ */
+inline sim::Table
+speedupTable(std::vector<std::string> header, const Zoo &zoo,
+             const std::vector<driver::ExperimentConfig> &configs,
+             timing::TraceCache &cache, bool average = false)
+{
+    std::vector<std::vector<driver::NetworkReport>> columns;
+    for (const driver::ExperimentConfig &cfg : configs)
+        columns.push_back(driver::evaluateNetworks(
+            cfg, zoo.nets, arch::canonicalPair(), nullptr, &cache));
+    sim::Table t(std::move(header));
+    for (std::size_t n = 0; n < zoo.nets.size(); ++n) {
+        std::vector<std::string> row{zoo.nets[n]->name()};
+        for (const auto &reports : columns)
+            row.push_back(sim::Table::num(reports[n].speedup()));
+        t.addRow(std::move(row));
+    }
+    if (average) {
+        std::vector<std::string> row{"average"};
+        for (const auto &reports : columns)
+            row.push_back(sim::Table::num(driver::meanSpeedup(reports)));
+        t.addRow(std::move(row));
+    }
+    return t;
 }
 
 /** Print a titled table in the selected format. */

@@ -44,6 +44,8 @@ struct Activity
         stall += o.stall;
         return *this;
     }
+
+    friend bool operator==(const Activity &, const Activity &) = default;
 };
 
 /** Hardware event counters feeding the energy model. */
@@ -82,6 +84,9 @@ struct EnergyCounters
         offchipBytes += o.offchipBytes;
         return *this;
     }
+
+    friend bool operator==(const EnergyCounters &,
+                           const EnergyCounters &) = default;
 };
 
 /**
@@ -243,6 +248,8 @@ struct MemTrace
         dramCycles += o.dramCycles;
         return *this;
     }
+
+    friend bool operator==(const MemTrace &, const MemTrace &) = default;
 };
 
 /**

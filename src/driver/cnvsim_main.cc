@@ -472,30 +472,39 @@ cmdReproduce(const CliOptions &opts)
     const driver::ExperimentConfig &cfg = opts.experiment;
     std::cout << "node: " << cfg.node.describe() << "\n\n";
 
+    std::vector<std::unique_ptr<nn::Network>> zoo;
+    std::vector<const nn::Network *> nets;
+    for (auto id : nn::zoo::allNetworks()) {
+        zoo.push_back(nn::zoo::build(id, cfg.seed));
+        nets.push_back(zoo.back().get());
+    }
+    const auto reports =
+        driver::evaluateNetworks(cfg, nets, arch::canonicalPair());
+
     sim::Table t({"network", "zero operands", "CNV speedup",
                   "EDP gain", "ED^2P gain"});
-    double zf = 0, sp = 0, edp = 0, ed2p = 0;
-    for (auto id : nn::zoo::allNetworks()) {
-        const auto net = nn::zoo::build(id, cfg.seed);
+    double zf = 0, edp = 0, ed2p = 0;
+    for (std::size_t n = 0; n < nets.size(); ++n) {
         const double zeroFrac =
-            nn::zeroOperandFraction(*net, cfg.seed + 100);
-        const auto r = driver::evaluateNetwork(cfg, *net);
+            nn::zeroOperandFraction(*nets[n], cfg.seed + 100);
+        const driver::NetworkReport &r = reports[n];
         const driver::ArchAggregate &base = r.arch("dadiannao");
         const driver::ArchAggregate &cnvAgg = r.arch("cnv");
         const auto mb = base.model->metrics(base.energy, base.cycles);
         const auto mc =
             cnvAgg.model->metrics(cnvAgg.energy, cnvAgg.cycles);
         zf += zeroFrac;
-        sp += r.speedup();
         edp += mb.edp / mc.edp;
         ed2p += mb.ed2p / mc.ed2p;
-        t.addRow({nn::zoo::netName(id), sim::Table::pct(zeroFrac),
+        t.addRow({r.name, sim::Table::pct(zeroFrac),
                   sim::Table::num(r.speedup()),
                   sim::Table::num(mb.edp / mc.edp),
                   sim::Table::num(mb.ed2p / mc.ed2p)});
     }
-    t.addRow({"average", sim::Table::pct(zf / 6), sim::Table::num(sp / 6),
-              sim::Table::num(edp / 6), sim::Table::num(ed2p / 6)});
+    const auto count = static_cast<double>(reports.size());
+    t.addRow({"average", sim::Table::pct(zf / count),
+              sim::Table::num(driver::meanSpeedup(reports)),
+              sim::Table::num(edp / count), sim::Table::num(ed2p / count)});
     t.addRow({"paper", "44.0%", "1.37", "1.47", "2.01"});
     t.print(std::cout);
 

@@ -1,7 +1,5 @@
 #include "driver/driver.h"
 
-#include <cmath>
-
 #include "sim/logging.h"
 #include "sim/metrics.h"
 #include "sim/parallel.h"
@@ -63,20 +61,29 @@ warmTraceCache(timing::TraceCache &cache, const ExperimentConfig &cfg,
     cache.warm(net, imageSeeds, nullptr, lookups);
 }
 
-NetworkReport
-evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
-                     const std::vector<const arch::ArchModel *> &archs,
-                     const nn::PruneConfig *prune,
-                     timing::TraceCache *cache)
+std::vector<NetworkReport>
+evaluateNetworks(const ExperimentConfig &cfg,
+                 const std::vector<const nn::Network *> &nets,
+                 const std::vector<const arch::ArchModel *> &archs,
+                 const nn::PruneConfig *prune, timing::TraceCache *cache)
 {
     CNV_ASSERT(!archs.empty(), "need at least one architecture");
     CNV_ASSERT(cfg.images > 0, "need at least one image");
-    NetworkReport report;
-    report.name = net.name();
-    report.images = cfg.images;
-    report.archs.resize(archs.size());
-    for (std::size_t a = 0; a < archs.size(); ++a)
-        report.archs[a].model = archs[a];
+    const auto images = static_cast<std::size_t>(cfg.images);
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < images; ++i)
+        seeds.push_back(cfg.seed + static_cast<std::uint64_t>(i));
+
+    std::vector<NetworkReport> reports(nets.size());
+    std::string label;
+    for (std::size_t n = 0; n < nets.size(); ++n) {
+        reports[n].name = nets[n]->name();
+        reports[n].images = cfg.images;
+        reports[n].archs.resize(archs.size());
+        for (std::size_t a = 0; a < archs.size(); ++a)
+            reports[n].archs[a].model = archs[a];
+        label += (n == 0 ? "" : ",") + nets[n]->name();
+    }
 
     // Without a caller-provided cache the runs still share one for
     // the duration of this sweep, so each image's trace is
@@ -87,26 +94,26 @@ evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
     // Every run walks the layers in the same order, so without the
     // warm-up the grid's lanes would queue on one layer's synthesis
     // at a time; warming fans the (layer x image) syntheses out first.
-    const auto images = static_cast<std::size_t>(cfg.images);
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t i = 0; i < images; ++i)
-        seeds.push_back(cfg.seed + static_cast<std::uint64_t>(i));
-    sim::metrics().beginProgress(net.name(), archs.size() * images);
-    warmTraceCache(*shared, cfg, net, archs, prune, seeds);
+    const std::size_t perNet = archs.size() * images;
+    sim::metrics().beginProgress(label, nets.size() * perNet);
+    for (const nn::Network *net : nets)
+        warmTraceCache(*shared, cfg, *net, archs, prune, seeds);
 
-    // Flattened (arch x image) grid; the ordered commit makes the
-    // per-arch accumulation order identical to the old serial loop.
+    // Flattened (network x arch x image) grid; the ordered commit
+    // sums each aggregate over its images in seed order.
     sim::parallelMapReduce(
-        archs.size() * images,
+        nets.size() * perNet,
         [&](std::size_t g) {
-            auto run = archs[g / images]->simulateNetwork(
-                cfg.node, net, runOptions(cfg, prune, seeds[g % images],
-                                          shared));
+            const std::size_t cell = g % perNet;
+            auto run = archs[cell / images]->simulateNetwork(
+                cfg.node, *nets[g / perNet],
+                runOptions(cfg, prune, seeds[cell % images], shared));
             sim::metrics().tickProgress();
             return run;
         },
         [&](std::size_t g, dadiannao::NetworkResult &&run) {
-            ArchAggregate &agg = report.archs[g / images];
+            ArchAggregate &agg =
+                reports[g / perNet].archs[g % perNet / images];
             agg.cycles += run.totalCycles();
             agg.activity += run.totalActivity();
             agg.energy += run.totalEnergy();
@@ -116,32 +123,16 @@ evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
             }
         });
     sim::metrics().endProgress();
-    return report;
+    return reports;
 }
 
 NetworkReport
-evaluateNetwork(const ExperimentConfig &cfg, const nn::Network &net,
-                const nn::PruneConfig *prune)
+evaluateNetworkArchs(const ExperimentConfig &cfg, const nn::Network &net,
+                     const std::vector<const arch::ArchModel *> &archs,
+                     const nn::PruneConfig *prune,
+                     timing::TraceCache *cache)
 {
-    return evaluateNetworkArchs(cfg, net, arch::canonicalPair(), prune);
-}
-
-NetworkReport
-evaluateZooNetwork(const ExperimentConfig &cfg, nn::zoo::NetId id,
-                   const nn::PruneConfig *prune)
-{
-    const auto net = nn::zoo::build(id, cfg.seed);
-    return evaluateNetwork(cfg, *net, prune);
-}
-
-double
-geomeanSpeedup(const std::vector<NetworkReport> &reports)
-{
-    CNV_ASSERT(!reports.empty(), "no reports");
-    double logSum = 0.0;
-    for (const NetworkReport &r : reports)
-        logSum += std::log(r.speedup());
-    return std::exp(logSum / static_cast<double>(reports.size()));
+    return std::move(evaluateNetworks(cfg, {&net}, archs, prune, cache)[0]);
 }
 
 double

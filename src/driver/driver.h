@@ -1,9 +1,9 @@
 /**
  * @file
- * Experiment driver: the orchestration layer shared by the bench
- * binaries and examples. Builds zoo networks, runs image batches on
- * any set of registered architecture models (arch/registry.h), and
- * aggregates cycles / activity / energy into per-network,
+ * Experiment driver: the orchestration layer shared by cnvsim and the
+ * bench binaries. Runs image batches of a set of networks on any set
+ * of registered architecture models (arch/registry.h) as one sweep,
+ * and aggregates cycles / activity / energy into per-network,
  * per-architecture reports.
  */
 
@@ -20,7 +20,6 @@
 #include "dadiannao/metrics.h"
 #include "mem/memory_model.h"
 #include "nn/network.h"
-#include "nn/zoo/zoo.h"
 #include "timing/network_model.h"
 #include "timing/trace_cache.h"
 
@@ -113,35 +112,29 @@ void warmTraceCache(timing::TraceCache &cache, const ExperimentConfig &cfg,
                     const std::vector<std::uint64_t> &imageSeeds);
 
 /**
- * Run `cfg.images` traces of a network through every selected
- * architecture model (optionally with dynamic pruning; the models
- * decide whether to honour it). The (arch x image) grid fans out
- * over sim::globalPool() and aggregates commit in selection order,
- * so the report is bit-identical for every job count. Runs share
- * `cache` when given (one synthesized trace per image across all
- * architectures); a local cache is used otherwise.
+ * Run `cfg.images` traces of every network in `nets` through every
+ * selected architecture model (optionally with dynamic pruning; the
+ * models decide whether to honour it) and return one report per
+ * network, in input order. The cache is warmed one network at a
+ * time, then the whole (network x arch x image) grid fans out over
+ * sim::globalPool(); aggregates commit in grid order, so the reports
+ * are bit-identical for every job count. Runs share `cache` when
+ * given (one synthesized trace per image across all architectures);
+ * a local cache is used otherwise. The networks must have distinct
+ * names (timing::TraceCache keys by name).
  */
+std::vector<NetworkReport> evaluateNetworks(
+    const ExperimentConfig &cfg, const std::vector<const nn::Network *> &nets,
+    const std::vector<const arch::ArchModel *> &archs,
+    const nn::PruneConfig *prune = nullptr,
+    timing::TraceCache *cache = nullptr);
+
+/** evaluateNetworks() of one network. */
 NetworkReport evaluateNetworkArchs(
     const ExperimentConfig &cfg, const nn::Network &net,
     const std::vector<const arch::ArchModel *> &archs,
     const nn::PruneConfig *prune = nullptr,
     timing::TraceCache *cache = nullptr);
-
-/**
- * Run a network through the canonical dadiannao + cnv pair (the
- * two-architecture comparison every paper figure reports).
- */
-NetworkReport evaluateNetwork(const ExperimentConfig &cfg,
-                              const nn::Network &net,
-                              const nn::PruneConfig *prune = nullptr);
-
-/** Build + evaluate one zoo network on the canonical pair. */
-NetworkReport evaluateZooNetwork(const ExperimentConfig &cfg,
-                                 nn::zoo::NetId id,
-                                 const nn::PruneConfig *prune = nullptr);
-
-/** Geometric mean of the reports' canonical speedups. */
-double geomeanSpeedup(const std::vector<NetworkReport> &reports);
 
 /** Arithmetic mean of the canonical speedups (the paper averages so). */
 double meanSpeedup(const std::vector<NetworkReport> &reports);

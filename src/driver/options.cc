@@ -122,17 +122,13 @@ benchOptionTable(BenchOptions &opts)
     return table;
 }
 
+/** A bench's `flags`, plus --help. */
 std::vector<std::string_view>
-benchFlags(unsigned outputs)
+benchFlags(std::span<const std::string_view> flags)
 {
-    std::vector<std::string_view> flags{"--images", "--seed", "--csv",
-                                        "--quick"};
-    if (outputs & kJsonArtifact)
-        flags.push_back("--json");
-    if (outputs & kTraceOut)
-        flags.push_back("--trace-out");
-    flags.insert(flags.end(), {"--jobs", "--mem", "--help"});
-    return flags;
+    std::vector<std::string_view> accepted(flags.begin(), flags.end());
+    accepted.push_back("--help");
+    return accepted;
 }
 
 } // namespace
@@ -281,21 +277,21 @@ cliUsage()
 
 BenchOptions
 parseBenchArgs(std::span<const std::string> args, int defaultImages,
-               unsigned outputs)
+               std::span<const std::string_view> flags)
 {
     BenchOptions opts;
     opts.experiment.images = defaultImages;
-    parseOptions(benchOptionTable(opts), benchFlags(outputs), args,
+    parseOptions(benchOptionTable(opts), benchFlags(flags), args,
                  "this bench");
     return opts;
 }
 
 std::string
-benchUsage(unsigned outputs)
+benchUsage(std::span<const std::string_view> flags)
 {
     BenchOptions scratch;
     return usageLines("options:", benchOptionTable(scratch),
-                      benchFlags(outputs));
+                      benchFlags(flags));
 }
 
 } // namespace cnv::driver

@@ -128,13 +128,6 @@ CliOptions parseCli(std::span<const std::string> args);
 /** cnvsim's usage text: every command with the flags it accepts. */
 std::string cliUsage();
 
-/** Output files a bench can write; it rejects the flags of the rest. */
-enum BenchOutput : unsigned {
-    kNoOutput = 0,
-    kJsonArtifact = 1u << 0, ///< --json
-    kTraceOut = 1u << 1,     ///< --trace-out
-};
-
 /** A parsed bench command line. */
 struct BenchOptions
 {
@@ -148,12 +141,14 @@ struct BenchOptions
 };
 
 /** Parse a bench command line (without the program name) of a bench
- *  writing the BenchOutput bits `outputs`. Throws UsageError. */
+ *  reading `flags`, its own list in usage order; --help is always
+ *  accepted. Throws UsageError. */
 BenchOptions parseBenchArgs(std::span<const std::string> args,
-                            int defaultImages, unsigned outputs);
+                            int defaultImages,
+                            std::span<const std::string_view> flags);
 
-/** A bench's usage text: "options: " and the flags it accepts. */
-std::string benchUsage(unsigned outputs);
+/** A bench's usage text: "options: ", `flags` and --help. */
+std::string benchUsage(std::span<const std::string_view> flags);
 
 } // namespace cnv::driver
 

@@ -37,6 +37,12 @@
  * One cache assumes one TraceProvider (or none) for its lifetime;
  * callers pass the provider per lookup only so the cache does not
  * own it.
+ *
+ * Keys name a network by Network::name() alone, so one cache must
+ * not see two networks of the same name that are built or calibrated
+ * differently (e.g. a zoo network recalibrated to another sparsity):
+ * the second would be served the first one's traces. Give each such
+ * variant its own cache.
  */
 
 #ifndef CNV_TIMING_TRACE_CACHE_H

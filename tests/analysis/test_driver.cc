@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "driver/driver.h"
+#include "nn/zoo/zoo.h"
 #include "timing/network_model.h"
+#include "timing/trace_cache.h"
 
 namespace {
 
@@ -66,7 +68,8 @@ TEST(Driver, EvaluateAggregatesImages)
     driver::ExperimentConfig cfg;
     cfg.images = 2;
     const auto net = nn::zoo::build(nn::zoo::NetId::Alex, cfg.seed);
-    const auto report = driver::evaluateNetwork(cfg, *net);
+    const auto report =
+        driver::evaluateNetworkArchs(cfg, *net, arch::canonicalPair());
     EXPECT_EQ(report.images, 2);
     EXPECT_GT(report.speedup(), 1.0);
     const auto &base = report.arch("dadiannao");
@@ -97,8 +100,60 @@ TEST(Driver, SpeedupAverages)
     const std::vector<driver::NetworkReport> reports{
         synthetic(150, 100), synthetic(120, 100)};
     EXPECT_NEAR(driver::meanSpeedup(reports), 1.35, 1e-12);
-    EXPECT_NEAR(driver::geomeanSpeedup(reports), std::sqrt(1.5 * 1.2),
-                1e-12);
+}
+
+TEST(Driver, EvaluateNetworksMatchesOneNetworkRuns)
+{
+    std::vector<std::unique_ptr<nn::Network>> owned;
+    std::vector<const nn::Network *> nets;
+    for (auto id : {nn::zoo::NetId::Nin, nn::zoo::NetId::Alex,
+                    nn::zoo::NetId::CnnS}) {
+        owned.push_back(nn::zoo::build(id, 2016));
+        nets.push_back(owned.back().get());
+    }
+    const auto archs = arch::builtin().select("dadiannao,cnv,cnv2");
+    for (const mem::Kind kind : {mem::Kind::Ideal, mem::Kind::Banked}) {
+        SCOPED_TRACE(mem::kindName(kind));
+        driver::ExperimentConfig cfg;
+        cfg.images = 2;
+        cfg.memKind = kind;
+        timing::TraceCache shared;
+        const auto reports =
+            driver::evaluateNetworks(cfg, nets, archs, nullptr, &shared);
+        ASSERT_EQ(reports.size(), nets.size());
+
+        timing::TraceCache::Stats summed;
+        for (std::size_t n = 0; n < nets.size(); ++n) {
+            timing::TraceCache own;
+            const auto one = driver::evaluateNetworkArchs(
+                cfg, *nets[n], archs, nullptr, &own);
+            const auto stats = own.stats();
+            summed.tensorHits += stats.tensorHits;
+            summed.tensorMisses += stats.tensorMisses;
+            summed.countMapHits += stats.countMapHits;
+            summed.countMapMisses += stats.countMapMisses;
+
+            const driver::NetworkReport &r = reports[n];
+            EXPECT_EQ(r.name, nets[n]->name());
+            EXPECT_EQ(r.images, one.images);
+            ASSERT_EQ(r.archs.size(), archs.size());
+            ASSERT_EQ(one.archs.size(), archs.size());
+            for (std::size_t a = 0; a < archs.size(); ++a) {
+                SCOPED_TRACE(r.name + "/" + archs[a]->id());
+                const driver::ArchAggregate &got = r.archs[a];
+                const driver::ArchAggregate &want = one.archs[a];
+                EXPECT_EQ(got.model, archs[a]);
+                EXPECT_EQ(got.cycles, want.cycles);
+                EXPECT_GT(got.cycles, 0u);
+                EXPECT_EQ(got.activity, want.activity);
+                EXPECT_EQ(got.energy, want.energy);
+                EXPECT_EQ(got.mem, want.mem);
+                EXPECT_EQ(got.memModelled, want.memModelled);
+                EXPECT_EQ(got.memModelled, kind == mem::Kind::Banked);
+            }
+        }
+        EXPECT_EQ(shared.stats(), summed);
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -28,6 +29,20 @@ using driver::OutputPath;
 using driver::UsageError;
 using Args = std::vector<std::string>;
 using Progress = sim::MetricsRegistry::Progress;
+using Flags = std::vector<std::string_view>;
+
+/** Every bench row but --help, as bench_fig09_speedup reads them. */
+const Flags kEveryBenchFlag = {"--images", "--seed", "--csv",
+                               "--quick",  "--json", "--trace-out",
+                               "--jobs",   "--mem"};
+
+/** Bench flag lists of several shapes, the last one every row. */
+const std::vector<Flags> kBenchFlagLists = {
+    {"--csv"},
+    {"--seed", "--csv"},
+    {"--images", "--seed", "--csv", "--jobs", "--mem"},
+    kEveryBenchFlag,
+};
 
 /** One field per row kind. */
 struct Fields
@@ -201,8 +216,7 @@ TEST(Options, SharedRowsWriteTheExperimentConfig)
     EXPECT_EQ(prune.experiment.images, 2); // cnvsim's default
 
     const auto bench = driver::parseBenchArgs(
-        Args{"--seed", "9", "--mem=banked", "--quick"}, 5,
-        driver::kNoOutput);
+        Args{"--seed", "9", "--mem=banked", "--quick"}, 5, kEveryBenchFlag);
     EXPECT_EQ(bench.experiment.images, 5); // the bench's default
     EXPECT_EQ(bench.experiment.seed, 9u);
     EXPECT_EQ(bench.experiment.memKind, mem::Kind::Banked);
@@ -316,37 +330,50 @@ TEST(Options, EachCommandAcceptsExactlyItsRowsAndListsThem)
                  UsageError);
 }
 
-TEST(Options, BenchUsageListsExactlyTheAcceptedRows)
+TEST(Options, BenchAcceptsExactlyItsOwnFlags)
 {
-    const unsigned all = driver::kJsonArtifact | driver::kTraceOut;
-    for (const unsigned outputs : {driver::kNoOutput + 0u, all}) {
-        const std::string usage = driver::benchUsage(outputs);
-        EXPECT_TRUE(usage.starts_with("options: --images N --seed S"))
+    // A value each row accepts; switches take none.
+    const std::map<std::string_view, std::string> values = {
+        {"--images", "2"},     {"--seed", "2"},
+        {"--jobs", "2"},       {"--mem", "banked"},
+        {"--json", "out.json"}, {"--trace-out", "out.json"}};
+    for (const Flags &flags : kBenchFlagLists) {
+        const std::string usage = driver::benchUsage(flags);
+        EXPECT_TRUE(usage.starts_with("options: " +
+                                      std::string(flags.front())))
             << usage;
-        for (const std::string flag :
-             {"--images", "--seed", "--csv", "--quick", "--jobs", "--mem",
-              "--help"})
-            EXPECT_NE(usage.find(flag), std::string::npos) << flag;
-        for (const std::string flag : {"--json", "--trace-out"}) {
-            EXPECT_EQ(usage.find(flag) != std::string::npos, outputs == all)
-                << flag;
-            const Args args{flag, "out.json"};
-            if (outputs == all) {
-                const auto opts = driver::parseBenchArgs(args, 1, outputs);
-                EXPECT_EQ(flag == "--json" ? opts.json : opts.traceOut,
-                          "out.json");
-            } else {
-                EXPECT_THROW(driver::parseBenchArgs(args, 1, outputs),
-                             UsageError);
+        EXPECT_NE(usage.find("--help"), std::string::npos) << usage;
+        EXPECT_TRUE(driver::parseBenchArgs(Args{"--help"}, 1, flags).help);
+        for (const std::string_view flag : kEveryBenchFlag) {
+            const bool listed = std::ranges::find(flags, flag) != flags.end();
+            EXPECT_EQ(usage.find(flag) != std::string::npos, listed)
+                << flag << " in " << usage;
+            Args args{std::string(flag)};
+            if (const auto value = values.find(flag); value != values.end())
+                args.push_back(value->second);
+            if (listed) {
+                const auto opts = driver::parseBenchArgs(args, 1, flags);
+                if (flag == "--json" || flag == "--trace-out") {
+                    EXPECT_EQ(flag == "--json" ? opts.json : opts.traceOut,
+                              "out.json");
+                }
+                continue;
+            }
+            try {
+                driver::parseBenchArgs(args, 1, flags);
+                ADD_FAILURE() << flag << " accepted by " << usage;
+            } catch (const UsageError &e) {
+                EXPECT_NE(std::string(e.what()).find("not supported"),
+                          std::string::npos)
+                    << e.what();
             }
         }
         // cnvsim-only rows and the accuracy knobs are not bench flags.
         for (const std::string flag :
              {"--scale", "--weight-sparsity", "--arch", "--stats"}) {
             EXPECT_EQ(usage.find(flag), std::string::npos) << flag;
-            EXPECT_THROW(
-                driver::parseBenchArgs(Args{flag, "1"}, 1, outputs),
-                UsageError)
+            EXPECT_THROW(driver::parseBenchArgs(Args{flag, "1"}, 1, flags),
+                         UsageError)
                 << flag;
         }
     }
@@ -427,8 +454,7 @@ TEST(Options, MutatedCommandLinesParseOrRaiseUsageErrors)
     for (const Args &seed : cliSeeds)
         ASSERT_NO_THROW(driver::parseCli(seed)) << seed.front();
     for (const Args &seed : benchSeeds)
-        ASSERT_NO_THROW(driver::parseBenchArgs(
-            seed, 1, driver::kJsonArtifact | driver::kTraceOut));
+        ASSERT_NO_THROW(driver::parseBenchArgs(seed, 1, kEveryBenchFlag));
 
     sim::Rng rng(2016);
     int parsed = 0, rejected = 0;
@@ -456,10 +482,10 @@ TEST(Options, MutatedCommandLinesParseOrRaiseUsageErrors)
             mutate(bench, rng);
         }
         check(cli, [](const Args &a) { driver::parseCli(a); });
-        const auto outputs =
-            static_cast<unsigned>(rng.uniformInt(std::uint64_t{4}));
+        const Flags &flags =
+            kBenchFlagLists[rng.uniformInt(kBenchFlagLists.size())];
         check(bench, [&](const Args &a) {
-            driver::parseBenchArgs(a, 1, outputs);
+            driver::parseBenchArgs(a, 1, flags);
         });
     }
     EXPECT_EQ(parsed + rejected, 2 * kIterations);

@@ -42,10 +42,16 @@ option table, driver/options.h) is smoked too:
   * empty --json/--trace-out path
                            -> exit 2, diagnostic on stderr
   * --json/--trace-out on a bench that writes no such file (BENCH
-    should be one, e.g. bench_fig11_area)
+    should be one that reads --images, --seed, --mem and --quick but
+    writes no artifact, e.g. bench_tab02_thresholds)
                            -> exit 2, diagnostic on stderr, no file
 
+Each ``--unread BENCH FLAG VALUE`` adds one case: a flag that BENCH
+does not read (e.g. bench_ext_multinode --images 2)
+                           -> exit 2, "not supported" on stderr
+
 Usage: smoke_cli_errors.py CNVSIM [--bench BENCH]
+                           [--unread BENCH FLAG VALUE ...]
 """
 
 from __future__ import annotations
@@ -63,6 +69,14 @@ def run(binary: str, *args: str) -> subprocess.CompletedProcess:
 def main(argv: list[str]) -> int:
     args = argv[1:]
     bench = None
+    unread: list[list[str]] = []
+    while "--unread" in args:
+        at = args.index("--unread")
+        if at + 3 >= len(args):
+            print(__doc__, file=sys.stderr)
+            return 2
+        unread.append(args[at + 1:at + 4])
+        args = args[:at] + args[at + 4:]
     if "--bench" in args:
         at = args.index("--bench")
         if at + 1 >= len(args):
@@ -197,6 +211,11 @@ def main(argv: list[str]) -> int:
                     problems.append(f"bench unsupported {flag}: "
                                     f"{out.name} was written")
         cases += 13
+    for binary, flag, value in unread:
+        expect(f"{Path(binary).name} unread {flag}",
+               run(binary, flag, value),
+               2, ["not supported", flag])
+    cases += len(unread)
 
     for p in problems:
         print(f"smoke_cli_errors: {p}", file=sys.stderr)
